@@ -10,9 +10,9 @@ test:
 
 # Mirrors the CI deep job: integration/fault/oracle/adaptive/onboard
 # suites plus the transfer-aware perfmodel, transformer-workload and
-# kernel-family suites, then the cross-process pipeline, fleet and
-# onboarding cache round trips (budget change re-runs only the
-# onboard-* branch).
+# kernel-family suites, then the cross-process pipeline (device-resident
+# and placement-crossed), fleet and onboarding cache round trips (budget
+# change re-runs only the onboard-* branch).
 deep:
 	PYTHONPATH=src python -m pytest \
 		tests/integration tests/testing tests/serving tests/pipeline \
@@ -23,6 +23,12 @@ deep:
 		--store /tmp/repro-store --networks mobilenet_v2
 	PYTHONPATH=src python -m repro.cli pipeline run \
 		--store /tmp/repro-store --networks mobilenet_v2 --assert-all-cached
+	PYTHONPATH=src python -m repro.cli pipeline run \
+		--store /tmp/repro-placed-store --networks mobilenet_v2 \
+		--placements device host
+	PYTHONPATH=src python -m repro.cli pipeline run \
+		--store /tmp/repro-placed-store --networks mobilenet_v2 \
+		--placements device host --assert-all-cached
 	PYTHONPATH=src python -m repro.cli fleet build \
 		--store /tmp/repro-fleet-store --networks mobilenet_v2 \
 		--device-ids r9-nano compute-heavy latency-bound

@@ -14,10 +14,28 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
+import numpy as np
+
 from repro.kernels.params import KernelConfig
+from repro.sycl.exceptions import SyclError
 from repro.workloads.gemm import GemmShape
 
-__all__ = ["FailureLog", "FailureRecord"]
+__all__ = ["CellFaults", "FailureLog", "FailureRecord"]
+
+
+class CellFaults(SyclError):
+    """Some cells of a row measurement failed, the rest were measured.
+
+    Raised by a model's ``measured_row_seconds`` when only part of a
+    shape row could be measured.  ``times`` is the whole row, with NaN
+    rows for the failed cells; ``errors`` maps each failed position in
+    the row to the exception that cell raised.
+    """
+
+    def __init__(self, times: np.ndarray, errors: Dict[int, SyclError]):
+        super().__init__(f"{len(errors)} of {len(times)} cells failed")
+        self.times = times
+        self.errors = errors
 
 
 @dataclass(frozen=True)

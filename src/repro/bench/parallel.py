@@ -2,7 +2,7 @@
 
 Dataset generation is embarrassingly parallel across shapes: each
 (shape, all-configs) row depends only on the root seed, never on shared
-state (the counter-based noise streams guarantee it).  ``parallel_map``
+state (the counter-hash noise guarantees it).  ``parallel_map``
 chunks the work across a process pool and reassembles results in input
 order, falling back to serial execution for small inputs or single-CPU
 machines where pool overhead would dominate.

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
+import numpy.typing as npt
 
-from repro.bench.failures import FailureLog, FailureRecord
+from repro.bench.failures import CellFaults, FailureLog, FailureRecord
 from repro.bench.stats import TimingSummary, summarize_times
 from repro.bench.parallel import parallel_map
-from repro.kernels.params import KernelConfig, config_space
+from repro.kernels.params import KernelConfig, config_index, config_space
 from repro.perfmodel.model import GemmPerfModel
 from repro.perfmodel.params import PerfModelParams
 from repro.sycl.device import Device
@@ -88,58 +89,77 @@ class BenchmarkResult:
         return int(np.isnan(self.gflops).sum())
 
 
+def _measure_row(
+    model,
+    shape: GemmShape,
+    indices: np.ndarray,
+    runner: RunnerConfig,
+) -> Tuple[np.ndarray, Dict[int, SyclError]]:
+    """One attempt at the given cells of a shape row.
+
+    Returns each cell's mean kernel time (NaN where the cell failed) and
+    the failures keyed by position in ``indices``.
+    """
+    try:
+        # Warm-up iterations are discarded: they model JIT/cache warming.
+        times = model.measured_row_seconds(
+            shape,
+            indices,
+            iterations=runner.timed_iterations,
+            start_iteration=runner.warmup_iterations,
+        )
+        errors: Dict[int, SyclError] = {}
+    except CellFaults as exc:
+        times, errors = exc.times, exc.errors
+    except SyclError as exc:
+        return np.full(len(indices), np.nan), dict.fromkeys(range(len(indices)), exc)
+    # Only the mean enters the dataset.
+    return times.mean(axis=1), errors
+
+
 def _bench_one_shape(
     shape: GemmShape,
     *,
     configs: Sequence[KernelConfig],
-    model: GemmPerfModel,
+    indices: np.ndarray,
+    model,
     runner: RunnerConfig,
 ) -> Tuple[np.ndarray, np.ndarray, Tuple[FailureRecord, ...]]:
-    """All configs for one shape; module-level for process-pool pickling."""
-    n = len(configs)
-    gflops = np.full(n, np.nan)
-    seconds = np.full(n, np.nan)
+    """All configs for one shape; module-level for process-pool pickling.
+
+    Each attempt measures the still-pending cells as one row, so only
+    the cells that failed are retried.
+    """
+    seconds = np.full(len(configs), np.nan)
+    pending = np.arange(len(configs))
     failures: list = []
-    for ci, config in enumerate(configs):
-        times = None
-        for attempt in range(runner.max_retries + 1):
-            try:
-                # Warm-up iterations are discarded: they model JIT/cache
-                # warming.
-                times = model.measured_times_seconds(
-                    shape,
-                    config,
-                    iterations=runner.timed_iterations,
-                    start_iteration=runner.warmup_iterations,
-                )
-                break
-            except SyclError as exc:
-                fatal = attempt == runner.max_retries
-                failures.append(
-                    FailureRecord(
-                        kind=type(exc).__name__,
-                        message=str(exc),
-                        shape=shape,
-                        config=config,
-                        attempt=attempt,
-                        fatal=fatal,
-                        backoff_s=(
-                            0.0
-                            if fatal
-                            else runner.retry_backoff_s * 2**attempt
-                        ),
-                    )
-                )
-        if times is None:
-            # Retries exhausted: skip-and-record, the cell stays NaN.
-            continue
-        # Only the mean enters the dataset; computing the full summary
-        # here costs ~40% of the sweep (profiled), so it is reserved for
-        # bench_single's detailed view.
-        mean = float(times.mean())
-        seconds[ci] = mean
-        gflops[ci] = shape.flops / mean / 1e9
-    return gflops, seconds, tuple(failures)
+    for attempt in range(runner.max_retries + 1):
+        means, errors = _measure_row(model, shape, indices[pending], runner)
+        fatal = attempt == runner.max_retries
+        for position, exc in errors.items():
+            cell = int(pending[position])
+            record = FailureRecord(
+                kind=type(exc).__name__,
+                message=str(exc),
+                shape=shape,
+                config=configs[cell],
+                attempt=attempt,
+                fatal=fatal,
+                backoff_s=0.0 if fatal else runner.retry_backoff_s * 2**attempt,
+            )
+            failures.append((cell, attempt, record))
+        # Failed cells read NaN, so the whole attempt can be stored.
+        seconds[pending] = means
+        failed = np.zeros(len(pending), dtype=bool)
+        failed[list(errors)] = True
+        pending = pending[failed]
+        if not pending.size:
+            break
+    # Retries exhausted: skip-and-record, the cell stays NaN.  Records
+    # are listed cell by cell, each cell's attempts in order.
+    failures.sort(key=lambda item: item[:2])
+    gflops = shape.flops / seconds / 1e9
+    return gflops, seconds, tuple(record for _, _, record in failures)
 
 
 class BenchmarkRunner:
@@ -155,8 +175,11 @@ class BenchmarkRunner:
         model=None,
     ):
         """``model`` overrides the default dense GEMM model — anything
-        with ``measured_times_seconds(shape, config, iterations=...,
-        start_iteration=...)`` works (e.g. the sparse model)."""
+        with ``measured_row_seconds(shape, config_indices, iterations=...,
+        start_iteration=...)`` works (e.g. the sparse model); it may
+        raise :class:`~repro.bench.failures.CellFaults` for a partly
+        failed row.  ``bench_single`` also uses
+        ``measured_times_seconds(shape, config, ...)``."""
         self._device = device
         self._configs = tuple(configs) if configs is not None else tuple(config_space())
         self._runner_config = runner_config or RunnerConfig()
@@ -165,6 +188,7 @@ class BenchmarkRunner:
         self._model = model or GemmPerfModel(
             device, params=model_params, seed=self._runner_config.seed
         )
+        self._indices: Optional[np.ndarray] = None
 
     @property
     def device(self) -> Device:
@@ -183,6 +207,23 @@ class BenchmarkRunner:
         """The benchmark protocol parameters in force."""
         return self._runner_config
 
+    def _config_indices(self) -> np.ndarray:
+        """Canonical config-space index of every column."""
+        if self._indices is None:
+            self._indices = np.array(
+                [config_index(c) for c in self._configs], dtype=np.intp
+            )
+        return self._indices
+
+    def measure_row(
+        self, shape: GemmShape, columns: npt.ArrayLike
+    ) -> Tuple[np.ndarray, Dict[int, SyclError]]:
+        """One attempt at some columns of a shape row, as :meth:`run`
+        measures them: mean seconds per column (NaN where it failed) and
+        the failures keyed by position in ``columns``."""
+        indices = self._config_indices()[np.asarray(columns, dtype=np.intp)]
+        return _measure_row(self._model, shape, indices, self._runner_config)
+
     def run(
         self,
         shapes: Sequence[GemmShape],
@@ -191,9 +232,10 @@ class BenchmarkRunner:
     ) -> BenchmarkResult:
         """Benchmark every configuration on every shape.
 
-        ``max_workers > 1`` distributes shapes over a process pool; the
-        counter-based noise makes the result bit-identical regardless of
-        worker count.
+        Each shape row is one array evaluation of the model over every
+        config.  ``max_workers > 1`` distributes shapes over a process
+        pool; the counter-based noise makes the result bit-identical
+        regardless of worker count.
 
         A cell whose measurement raises a
         :class:`~repro.sycl.exceptions.SyclError` is retried up to
@@ -206,6 +248,7 @@ class BenchmarkRunner:
         fn = partial(
             _bench_one_shape,
             configs=self._configs,
+            indices=self._config_indices(),
             model=self._model,
             runner=self._runner_config,
         )

@@ -223,6 +223,8 @@ def _build_pipeline_config(args):
     }
     if args.networks:
         kwargs["networks"] = tuple(args.networks)
+    if args.placements:
+        kwargs["placements"] = tuple(args.placements)
     return PaperPipelineConfig(**kwargs)
 
 
@@ -1433,6 +1435,17 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="NET",
         help="restrict the sweep to these networks (default: all three)",
+    )
+    p.add_argument(
+        "--placements",
+        nargs="*",
+        default=None,
+        choices=("device", "host"),
+        metavar="PLACEMENT",
+        help=(
+            "cross every shape with these operand placements "
+            "(device, host; default: the device-resident sweep)"
+        ),
     )
     p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--test-size", type=float, default=0.2)

@@ -291,9 +291,11 @@ def generate_dataset(
     With ``placements`` set (e.g. ``("device", "host")``), every
     extracted shape is crossed with the given data residencies before
     the sweep, so the table gains a placement axis.  The flat ``.npz``
-    cache cannot round-trip placed shapes, so ``cache_path`` is ignored
-    in that mode (the pipeline ``store`` path handles it fine — its
-    codec pickles shapes faithfully).
+    cache validates only the runner, device and model constants, not
+    the shape list, so ``cache_path`` is ignored in that mode; the
+    pipeline ``store`` fingerprints the placements and round-trips
+    placed shapes (its codec tags the shape kind and stores the
+    placement as a column — it never pickles).
     """
     device = device or Device.r9_nano()
     effective_runner = runner_config or RunnerConfig()

@@ -172,6 +172,8 @@ def fleet_pipeline(config: Optional[FleetPipelineConfig] = None) -> Pipeline:
                 fleet_sweep_stage,
                 (stage_name("profile", did),),
                 codec="bench-result",
+                # 2: counter-hash measurement noise.
+                version="2",
             )
         )
         pipeline.add(

@@ -139,11 +139,14 @@ def config_space(
     return configs
 
 
+_TILE_POSITION = {v: i for i, v in enumerate(TILE_SIZES)}
+_WORK_GROUP_POSITION = {w: i for i, w in enumerate(WORK_GROUP_SHAPES)}
+
+
 def config_index(config: KernelConfig) -> int:
     """Index of ``config`` in the canonical :func:`config_space` order."""
     try:
-        ti = {v: i for i, v in enumerate(TILE_SIZES)}
-        wi = {w: i for i, w in enumerate(WORK_GROUP_SHAPES)}
+        ti, wi = _TILE_POSITION, _WORK_GROUP_POSITION
         return (
             (ti[config.acc] * len(TILE_SIZES) + ti[config.rows]) * len(TILE_SIZES)
             + ti[config.cols]

@@ -268,6 +268,8 @@ def onboard_pipeline(config: OnboardPipelineConfig) -> Pipeline:
             )
             + source_inputs,
             codec="partial-sweep",
+            # 2: counter-hash measurement noise.
+            version="2",
         )
     )
     pipeline.add(

@@ -28,7 +28,6 @@ from repro.core.dataset import PerformanceDataset
 from repro.onboard.budget import OnboardBudget
 from repro.onboard.impute import ImputationModel, SourceBranch
 from repro.onboard.sampler import pick_informative_cells, plan_cells
-from repro.sycl.exceptions import SyclError
 
 __all__ = ["PartialSweep", "measure_cells", "run_partial_sweep"]
 
@@ -92,22 +91,21 @@ def measure_cells(
 ) -> int:
     """Benchmark the given flat cells into ``gflops`` in place.
 
-    Returns the number of cells whose measurement raised a
+    Cells are grouped by shape row and each row is one array
+    measurement, exactly as the full sweep measures it, so every value
+    equals the full sweep's cell bit for bit.  Returns the number of
+    cells whose measurement raised a
     :class:`~repro.sycl.exceptions.SyclError` (left NaN, like the full
     runner's skip-and-record policy).
     """
-    configs = runner.configs
-    n_configs = len(configs)
+    rows, cols = np.divmod(np.asarray(flat_cells, dtype=np.int64), len(runner.configs))
     failed = 0
-    for flat in flat_cells.tolist():
-        row, col = divmod(int(flat), n_configs)
+    for row in np.unique(rows).tolist():
+        columns = cols[rows == row]
         shape = shapes[row]
-        try:
-            summary = runner.bench_single(shape, configs[col])
-        except SyclError:
-            failed += 1
-            continue
-        gflops[row, col] = shape.flops / summary.mean / 1e9
+        seconds, errors = runner.measure_row(shape, columns)
+        failed += len(errors)
+        gflops[row, columns] = shape.flops / seconds / 1e9
     return failed
 
 

@@ -16,9 +16,11 @@ time from first principles:
   (:mod:`repro.perfmodel.memory`);
 * **whole-kernel time** — roofline-style max of compute and memory time,
   tile-edge waste, wave quantisation, launch overhead, and deterministic
-  alignment penalties (:mod:`repro.perfmodel.model`);
+  alignment penalties (:mod:`repro.perfmodel.model`), per cell or for a
+  whole shape row of configs as arrays (:mod:`repro.perfmodel.row`);
 * **measurement noise** — reproducible lognormal jitter per
-  (shape, config, iteration) (:mod:`repro.perfmodel.noise`).
+  (shape, config, iteration) from a splitmix64 counter hash
+  (:mod:`repro.perfmodel.noise`).
 
 The model is *not* calibrated to match the R9 Nano's absolute GFLOP/s; it
 is calibrated to reproduce the **structure** of the paper's dataset — see

@@ -3,15 +3,19 @@
 Combines occupancy, compute-pipeline and memory models into a
 roofline-style time estimate with launch overheads, tile-edge waste, wave
 quantisation and deterministic microarchitectural quirk terms.  Provides
-both the deterministic expected time and noisy "measured" times.
+both the deterministic expected time and noisy "measured" times, per
+cell (:meth:`GemmPerfModel.breakdown`, the scalar reference) and per
+shape row (:meth:`GemmPerfModel.measured_row_seconds`, the array form in
+:mod:`repro.perfmodel.row` that benchmark sweeps use).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.kernels.params import KernelConfig, config_index
 from repro.perfmodel.compute import (
@@ -20,9 +24,10 @@ from repro.perfmodel.compute import (
     latency_hiding,
 )
 from repro.perfmodel.memory import MemoryTraffic, memory_traffic
-from repro.perfmodel.noise import measurement_noise_factor, noise_factors
+from repro.perfmodel.noise import measurement_noise_factor, noise_factors, noise_row
 from repro.perfmodel.occupancy import OccupancyResult, occupancy_for
 from repro.perfmodel.params import PerfModelParams
+from repro.perfmodel.row import ConfigArrays, RowTimes, row_times
 from repro.perfmodel.transfer import (
     DataPlacement,
     resolve_placement,
@@ -30,7 +35,7 @@ from repro.perfmodel.transfer import (
 )
 from repro.sycl.device import Device, DeviceSpec
 from repro.utils.maths import ceil_div
-from repro.utils.rng import derive_seed
+from repro.utils.rng import derive_seed, derive_seeds
 from repro.workloads.gemm import GemmShape
 
 __all__ = ["GemmPerfModel", "ModelBreakdown"]
@@ -98,7 +103,7 @@ class GemmPerfModel:
     params:
         Model constants; defaults are the GCN3 calibration.
     seed:
-        Root seed for the measurement-noise streams.
+        Root seed of the measurement-noise counter hash.
     """
 
     def __init__(
@@ -115,6 +120,12 @@ class GemmPerfModel:
         # memoise them: dataset generation evaluates 640 configs x many
         # shapes and this removes the dominant repeated work.
         self._static_cache: dict = {}
+        # Row evaluation state, built on first use: the static terms of
+        # the canonical config space as arrays, and the quirk term of
+        # every config per quirk key (shapes sharing a log-size bucket or
+        # an alignment residue share the row).
+        self._arrays: Optional[ConfigArrays] = None
+        self._quirk_rows: Dict[Tuple, np.ndarray] = {}
 
     @property
     def device_spec(self) -> DeviceSpec:
@@ -297,6 +308,65 @@ class GemmPerfModel:
         )
         return self.time_seconds(shape, config) * factors
 
+    # -- row evaluation (one shape, many configs) --------------------------
+
+    def time_row_seconds(
+        self, shape: GemmShape, config_indices: Optional[npt.ArrayLike] = None
+    ) -> np.ndarray:
+        """Deterministic expected time of many configs for one shape.
+
+        Entry ``j`` is ``time_seconds(shape, config_from_index(
+        config_indices[j]))``; ``None`` means the whole canonical config
+        space, in order.
+        """
+        return self.row(shape, config_indices).total_seconds
+
+    def measured_row_seconds(
+        self,
+        shape: GemmShape,
+        config_indices: Optional[npt.ArrayLike] = None,
+        *,
+        iterations: int,
+        start_iteration: int = 0,
+    ) -> np.ndarray:
+        """Noisy measurements of many configs for one shape.
+
+        A ``(n_configs, iterations)`` array: row ``j`` is the time of
+        config ``config_indices[j]`` times the same noise factors
+        :meth:`measured_times_seconds` applies to that cell.
+        """
+        indices = self._indices(config_indices)
+        times = self.row(shape, indices).total_seconds
+        factors = noise_row(
+            self._seed,
+            shape,
+            indices,
+            iterations,
+            sigma=self._params.noise_sigma,
+            start_iteration=start_iteration,
+        )
+        return times[:, None] * factors
+
+    def row(
+        self, shape: GemmShape, config_indices: Optional[npt.ArrayLike] = None
+    ) -> RowTimes:
+        """The time terms of one shape over canonical config indices."""
+        indices = self._indices(config_indices)
+        return row_times(
+            shape,
+            self.config_arrays(),
+            indices,
+            self._quirk_row(shape)[indices],
+            self._spec,
+            self._params,
+        )
+
+    def config_arrays(self) -> ConfigArrays:
+        """Static per-config terms of the canonical space (built once)."""
+        if self._arrays is None:
+            self._arrays = ConfigArrays.build(self._static, self._spec)
+        return self._arrays
+
     def measured_gflops(
         self,
         shape: GemmShape,
@@ -311,6 +381,51 @@ class GemmPerfModel:
         return shape.flops / float(np.mean(times)) / 1e9
 
     # -- internals ----------------------------------------------------------
+
+    def _indices(self, config_indices: Optional[npt.ArrayLike]) -> np.ndarray:
+        n = self.config_arrays().macro_m.size
+        if config_indices is None:
+            return np.arange(n)
+        indices = np.asarray(config_indices, dtype=np.intp)
+        if indices.ndim != 1 or (
+            indices.size and (indices.min() < 0 or indices.max() >= n)
+        ):
+            raise ValueError(
+                f"config indices must be a 1-D array in [0, {n})"
+            )
+        return indices
+
+    def _quirk_row(self, shape: GemmShape) -> np.ndarray:
+        """:meth:`_quirk` of every canonical config, as one array."""
+        amplitude = self._params.alignment_penalty
+        if amplitude == 0:
+            return np.ones(self.config_arrays().macro_m.size)
+        step = self._params.quirk_coarse_log_step
+        coarse = self._quirk_terms(
+            "quirk-coarse",
+            (
+                int(np.log2(shape.m) / step),
+                int(np.log2(shape.k) / step),
+                int(np.log2(shape.n) / step),
+            ),
+        )
+        fine = self._quirk_terms(
+            "quirk-fine", (shape.k % 16, shape.n % 32, shape.m % 8)
+        )
+        w = self._params.quirk_coarse_weight
+        return 1.0 + amplitude * (w * coarse + (1.0 - w) * fine)
+
+    def _quirk_terms(self, channel: str, residues: Tuple[int, ...]) -> np.ndarray:
+        """One quirk component for every config, memoised per key tuple."""
+        key = (channel, residues)
+        terms = self._quirk_rows.get(key)
+        if terms is None:
+            n = self.config_arrays().macro_m.size
+            hashes = derive_seeds(self._seed, (channel,), range(n), residues)
+            terms = self._quirk_rows[key] = np.array(
+                [(h % 10_000) / 10_000.0 * 2.0 - 1.0 for h in hashes]
+            )
+        return terms
 
     def _quirk(self, shape: GemmShape, config: KernelConfig) -> float:
         """Stable, structured perturbation around 1.

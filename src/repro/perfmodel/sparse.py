@@ -25,10 +25,11 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.kernels.params import KernelConfig
 from repro.perfmodel.model import GemmPerfModel
-from repro.perfmodel.noise import noise_factors
+from repro.perfmodel.noise import noise_factors, noise_row
 from repro.perfmodel.params import PerfModelParams
 from repro.sycl.device import Device, DeviceSpec
 from repro.workloads.gemm import GemmShape
@@ -39,6 +40,11 @@ __all__ = ["SparseGemmPerfModel"]
 _FP32 = 4
 #: Extra bytes per nonzero for the column index (CSR).
 _INDEX_BYTES = 4
+
+
+def _dense(shape: GemmShape) -> GemmShape:
+    """The dense problem behind ``shape`` (itself unless sparse)."""
+    return shape.dense_equivalent() if isinstance(shape, SparseGemmShape) else shape
 
 
 class SparseGemmPerfModel:
@@ -79,35 +85,61 @@ class SparseGemmPerfModel:
     def params(self) -> PerfModelParams:
         return self._dense.params
 
+    @property
+    def seed(self) -> int:
+        return self._seed
+
     def supported(self, config: KernelConfig) -> bool:
         return self._dense.supported(config)
 
     # -- timing -----------------------------------------------------------
 
     def time_seconds(self, shape: GemmShape, config: KernelConfig) -> float:
-        density = getattr(shape, "density", 1.0)
-        dense_shape = (
-            shape.dense_equivalent()
-            if isinstance(shape, SparseGemmShape)
-            else shape
-        )
+        dense_shape = _dense(shape)
         breakdown = self._dense.breakdown(dense_shape, config)
+        return self._sparse_time(
+            shape,
+            dense_shape,
+            config.acc,
+            breakdown.compute_seconds,
+            breakdown.memory_seconds,
+            breakdown.overhead_seconds,
+            breakdown.total_seconds,
+        )
+
+    def time_row_seconds(
+        self, shape: GemmShape, config_indices: Optional[npt.ArrayLike] = None
+    ) -> np.ndarray:
+        """Array form of :meth:`time_seconds` over canonical config indices."""
+        dense_shape = _dense(shape)
+        row = self._dense.row(dense_shape, config_indices)
+        acc = self._dense.config_arrays().acc
+        return self._sparse_time(
+            shape,
+            dense_shape,
+            acc if config_indices is None else acc[np.asarray(config_indices)],
+            row.compute_seconds,
+            row.memory_seconds,
+            row.overhead_seconds,
+            row.total_seconds,
+        )
+
+    def _sparse_time(
+        self, shape, dense_shape, acc, compute, memory, overhead, dense_total
+    ):
+        """Rescale dense time terms to the shape's density (scalars or rows)."""
+        density = getattr(shape, "density", 1.0)
         if density >= 1.0:
-            return breakdown.total_seconds
+            return dense_total
 
         # Compute: density of the FMAs survive, each carrying decode
         # work; gathers hurt wide accumulator steps; stragglers stretch
         # the wave by the imbalance term.
         sparsity = 1.0 - density
         work_scale = density * (1.0 + self._decode)
-        gather_scale = 1.0 + self._gather * sparsity * (config.acc / 8.0)
+        gather_scale = 1.0 + self._gather * sparsity * (acc / 8.0)
         imbalance_scale = 1.0 + self._imbalance * sparsity
-        compute = (
-            breakdown.compute_seconds
-            * work_scale
-            * gather_scale
-            * imbalance_scale
-        )
+        compute = compute * work_scale * gather_scale * imbalance_scale
 
         # Memory: the B share of traffic shrinks to density but carries
         # indices; gathered lines are partially wasted (folded into the
@@ -116,12 +148,12 @@ class SparseGemmPerfModel:
         b_share = (k * n) / (m * k + k * n + m * n)
         sparse_bytes_ratio = density * (_FP32 + _INDEX_BYTES) / _FP32
         memory_scale = (1.0 - b_share) + b_share * sparse_bytes_ratio
-        memory = breakdown.memory_seconds * memory_scale
+        memory = memory * memory_scale
 
         return (
-            breakdown.overhead_seconds
-            + max(compute, memory)
-            + 0.15 * min(compute, memory)
+            overhead
+            + np.maximum(compute, memory)
+            + 0.15 * np.minimum(compute, memory)
         )
 
     def gflops(self, shape: GemmShape, config: KernelConfig) -> float:
@@ -145,6 +177,29 @@ class SparseGemmPerfModel:
             start_iteration=start_iteration,
         )
         return self.time_seconds(shape, config) * factors
+
+    def measured_row_seconds(
+        self,
+        shape: GemmShape,
+        config_indices: Optional[npt.ArrayLike] = None,
+        *,
+        iterations: int,
+        start_iteration: int = 0,
+    ) -> np.ndarray:
+        """Array form of :meth:`measured_times_seconds` (one shape row)."""
+        times = self.time_row_seconds(shape, config_indices)
+        indices = (
+            np.arange(times.size) if config_indices is None else config_indices
+        )
+        factors = noise_row(
+            self._seed,
+            shape,
+            indices,
+            iterations,
+            sigma=self.params.noise_sigma,
+            start_iteration=start_iteration,
+        )
+        return times[:, None] * factors
 
     def measured_time_seconds(
         self, shape: GemmShape, config: KernelConfig, *, iteration: int = 0

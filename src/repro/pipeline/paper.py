@@ -79,10 +79,11 @@ def _dataset_stages() -> Tuple[Stage, Stage]:
 
     Built in one place so :func:`generate_dataset_stages` and the full
     pipeline fingerprint identically — a dataset generated standalone is
-    a cache hit for a later full run.
+    a cache hit for a later full run.  Sweep version 2: the counter-hash
+    measurement noise (sweeps stored by version 1 are never reused).
     """
     return (
-        Stage("sweep", sweep_stage, (), codec="bench-result", version="1"),
+        Stage("sweep", sweep_stage, (), codec="bench-result", version="2"),
         Stage("dataset", dataset_stage, ("sweep",), codec="dataset", version="1"),
     )
 

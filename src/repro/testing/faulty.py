@@ -3,13 +3,13 @@
 Three injection points, all driven by one :class:`~repro.testing.plan.FaultPlan`:
 
 * :class:`FaultyModel` wraps a performance model's
-  ``measured_times_seconds`` — the interface
+  ``measured_row_seconds`` — the interface
   :class:`~repro.bench.runner.BenchmarkRunner` measures through — and
-  raises on planned (shape, config, attempt) coordinates.  Attempts are
-  counted per cell inside the wrapper, so retry semantics are exercised
-  exactly (the same counter-based idiom as the noise streams: each shape
-  is swept wholly inside one worker, so decisions are unaffected by
-  parallelism).
+  its per-cell ``measured_times_seconds``, failing planned (shape,
+  config, attempt) coordinates.  Attempts are counted per cell inside
+  the wrapper, so retry semantics are exercised exactly (the same
+  counter-based idiom as the noise: each shape is swept wholly inside
+  one worker, so decisions are unaffected by parallelism).
 * :class:`FaultyQueue` wraps a :class:`~repro.sycl.queue.Queue` and
   raises on planned (kernel name, submission index) coordinates before
   the kernel executes.
@@ -27,12 +27,13 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bench.failures import FailureLog, FailureRecord
+from repro.bench.failures import CellFaults, FailureLog, FailureRecord
 from repro.bench.runner import BenchmarkRunner, RunnerConfig
-from repro.kernels.params import KernelConfig, config_index
+from repro.kernels.params import KernelConfig, config_from_index, config_index
 from repro.perfmodel.model import GemmPerfModel
 from repro.perfmodel.params import PerfModelParams
 from repro.sycl.device import Device
+from repro.sycl.exceptions import SyclError
 from repro.sycl.queue import Queue
 from repro.testing.plan import FaultPlan, raise_fault
 from repro.workloads.gemm import GemmShape
@@ -50,11 +51,14 @@ class FaultyModel:
     """Performance-model wrapper raising planned measurement faults.
 
     Anything accepted as a :class:`BenchmarkRunner` ``model`` can be
-    wrapped.  Each ``measured_times_seconds`` call for a (shape, config)
-    cell is one *attempt*; the plan decides per attempt, so transient
-    plans (``fail_attempts=k``) recover under the runner's retries while
-    hard plans fail the cell outright.  One wrapper instance covers one
-    sweep; call :meth:`reset` before reusing it.
+    wrapped.  Each measurement of a (shape, config) cell — one
+    ``measured_times_seconds`` call, or the cell's entry in a
+    ``measured_row_seconds`` row — is one *attempt*; the plan decides
+    per attempt, so transient plans (``fail_attempts=k``) recover under
+    the runner's retries while hard plans fail the cell outright.  A row
+    with failed cells raises :class:`~repro.bench.failures.CellFaults`
+    carrying the measured rest.  One wrapper instance covers one sweep;
+    call :meth:`reset` before reusing it.
     """
 
     def __init__(self, model, plan: FaultPlan):
@@ -78,6 +82,44 @@ class FaultyModel:
         """Zero the attempt counters (start a fresh sweep)."""
         self._attempts.clear()
 
+    def _attempt(self, shape: GemmShape, config: KernelConfig, index: int) -> None:
+        """Count one attempt at a cell; raise the planned fault, if any."""
+        key = (shape.as_tuple(), index)
+        attempt = self._attempts.get(key, 0)
+        self._attempts[key] = attempt + 1
+        kind = self._plan.fault_for(shape, config, attempt)
+        if kind is not None:
+            raise_fault(
+                kind, f"shape {shape}, config {config}, attempt {attempt}"
+            )
+
+    def measured_row_seconds(
+        self,
+        shape: GemmShape,
+        config_indices=None,
+        *,
+        iterations: int,
+        start_iteration: int = 0,
+    ) -> np.ndarray:
+        times = self._model.measured_row_seconds(
+            shape,
+            config_indices,
+            iterations=iterations,
+            start_iteration=start_iteration,
+        )
+        if config_indices is None:
+            config_indices = range(len(times))
+        errors: Dict[int, SyclError] = {}
+        for position, index in enumerate(config_indices):
+            try:
+                self._attempt(shape, config_from_index(int(index)), int(index))
+            except SyclError as exc:
+                errors[position] = exc
+        if errors:
+            times[list(errors)] = np.nan
+            raise CellFaults(times, errors)
+        return times
+
     def measured_times_seconds(
         self,
         shape: GemmShape,
@@ -86,14 +128,7 @@ class FaultyModel:
         iterations: int,
         start_iteration: int = 0,
     ) -> np.ndarray:
-        key = (shape.as_tuple(), config_index(config))
-        attempt = self._attempts.get(key, 0)
-        self._attempts[key] = attempt + 1
-        kind = self._plan.fault_for(shape, config, attempt)
-        if kind is not None:
-            raise_fault(
-                kind, f"shape {shape}, config {config}, attempt {attempt}"
-            )
+        self._attempt(shape, config, config_index(config))
         return self._model.measured_times_seconds(
             shape,
             config,

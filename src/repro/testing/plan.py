@@ -2,8 +2,8 @@
 
 A :class:`FaultPlan` decides — as a pure function of its seed and the
 fault coordinates — whether a given operation fails, and how.  The same
-idiom as :mod:`repro.perfmodel.noise`: decisions are keyed on identity
-tuples hashed through :func:`repro.utils.rng.derive_seed`, so fault
+counter-based idiom as :mod:`repro.perfmodel.noise`: decisions are keyed
+on identity tuples hashed through :func:`repro.utils.rng.derive_seed`, so fault
 injection is reproducible, order-independent and safe under the
 process-pool sweep (a cell faults or not regardless of worker count or
 execution order).

@@ -18,13 +18,13 @@ True
 from __future__ import annotations
 
 import hashlib
-from typing import Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
 Key = Union[int, str]
 
-__all__ = ["derive_seed", "rng_from", "stream"]
+__all__ = ["derive_seed", "derive_seeds", "rng_from", "stream"]
 
 
 def _key_bytes(*keys: Key) -> bytes:
@@ -47,6 +47,30 @@ def derive_seed(root: int, *keys: Key) -> int:
         root.to_bytes(16, "little", signed=True) + b"|" + _key_bytes(*keys)
     ).digest()
     return int.from_bytes(digest[:8], "little")
+
+
+def derive_seeds(
+    root: int,
+    head: Tuple[Key, ...],
+    values: Sequence[int],
+    tail: Tuple[Key, ...] = (),
+) -> List[int]:
+    """``[derive_seed(root, *head, v, *tail) for v in values]``, faster.
+
+    The key bytes around the varying position are encoded once, so a
+    whole row of seeds costs one SHA-256 per value and nothing else.
+    """
+    lead = root.to_bytes(16, "little", signed=True) + b"|"
+    if head:
+        lead += _key_bytes(*head) + b"\x1f"
+    trail = b"\x1f" + _key_bytes(*tail) if tail else b""
+    sha256 = hashlib.sha256
+    return [
+        int.from_bytes(
+            sha256(lead + _key_bytes(v) + trail).digest()[:8], "little"
+        )
+        for v in values
+    ]
 
 
 def stream(root: int, *keys: Key) -> np.random.Generator:

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from repro.bench.runner import BenchmarkRunner
 from repro.onboard import OnboardBudget, run_partial_sweep
 from repro.onboard.sweep import _round_quotas
+from repro.sycl.device import Device
+from repro.testing import FaultPlan, faulty_runner
+from repro.workloads.placement import place_shapes
 
 from .conftest import FAST_BUDGET
 
@@ -114,6 +118,41 @@ class TestActiveSampler:
         )
         mask = sweep.measured_mask()
         assert np.array_equal(sweep.dataset.gflops[mask], full.gflops[mask])
+
+
+class TestRowPath:
+    """Partial sweeps read their cells from row evaluations of the model:
+    every attempted cell equals the full sweep's cell bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def placed(self, onboard_shapes):
+        shapes = place_shapes(onboard_shapes, ("device", "host"))
+        return shapes, BenchmarkRunner(Device.r9_nano()).run(shapes)
+
+    @pytest.mark.parametrize("sampler", ["random", "stratified"])
+    @pytest.mark.parametrize("fraction", [0.05, 0.3])
+    def test_every_cell_equals_the_full_sweep(self, placed, sampler, fraction):
+        shapes, full = placed
+        budget = OnboardBudget(fraction=fraction, sampler=sampler, seed=4)
+        sweep = run_partial_sweep(BenchmarkRunner(Device.r9_nano()), shapes, budget)
+        table = sweep.dataset.gflops.ravel()
+        np.testing.assert_array_equal(
+            table[sweep.cells], full.gflops.ravel()[sweep.cells]
+        )
+        rest = np.setdiff1d(np.arange(table.size), sweep.cells)
+        assert np.isnan(table[rest]).all()
+        assert sweep.failed == 0
+
+    def test_faulted_cells_stay_nan_and_are_counted(self, placed):
+        shapes, full = placed
+        plan = FaultPlan(seed=9, rate=0.2)
+        budget = OnboardBudget(fraction=0.3, sampler="random", seed=4)
+        sweep = run_partial_sweep(faulty_runner(Device.r9_nano(), plan), shapes, budget)
+        table = sweep.dataset.gflops.ravel()
+        faulted = np.isnan(table[sweep.cells])
+        assert sweep.failed == int(faulted.sum()) > 0
+        measured = sweep.cells[~faulted]
+        np.testing.assert_array_equal(table[measured], full.gflops.ravel()[measured])
 
 
 class TestRoundQuotas:

@@ -155,3 +155,41 @@ class TestFingerprintCoverage:
         other = dataclasses.replace(config, device_preset="desktop-gpu")
         fps2 = paper_pipeline().fingerprints(paper_params(other))
         assert fps["sweep"] != fps2["sweep"]
+
+
+class TestPlacedPipeline:
+    """A placement-crossed sweep is stored and reloaded like any other."""
+
+    @pytest.fixture(scope="class")
+    def placed(self, tmp_path_factory, config):
+        store = ArtifactStore(tmp_path_factory.mktemp("placed") / "store")
+        placed_config = dataclasses.replace(config, placements=("device", "host"))
+        return store, placed_config, run_paper_pipeline(store, placed_config)
+
+    def test_rerun_is_one_hundred_percent_cache_hits(self, placed):
+        store, placed_config, first = placed
+        assert set(first.stats.executed_stages) == STAGES
+        run = run_paper_pipeline(store, placed_config)
+        assert run.stats.all_cached
+        assert run.stats.n_cached == len(STAGES)
+        dataset = run.value("dataset")
+        assert dataset.shapes == first.value("dataset").shapes
+        assert {type(s).__name__ for s in dataset.shapes} == {"PlacedGemmShape"}
+        assert {s.placement for s in dataset.shapes} == {"device", "host"}
+        np.testing.assert_array_equal(
+            dataset.gflops, first.value("dataset").gflops
+        )
+        assert run.value("split").test.shapes == first.value("split").test.shapes
+
+    def test_generate_dataset_reuses_the_placed_sweep(self, placed):
+        store, placed_config, first = placed
+        dataset = generate_dataset(
+            networks=placed_config.networks,
+            placements=placed_config.placements,
+            store=store,
+        )
+        assert dataset.shapes == first.value("dataset").shapes
+        np.testing.assert_array_equal(
+            dataset.gflops, first.value("dataset").gflops
+        )
+        assert len(store.ls()) == len(STAGES)

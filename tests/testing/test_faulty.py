@@ -6,8 +6,9 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.bench.failures import CellFaults
 from repro.kernels.matmul import TiledMatmulKernel, matmul
-from repro.kernels.params import config_space
+from repro.kernels.params import config_index, config_space
 from repro.perfmodel.model import GemmPerfModel
 from repro.sycl.buffer import AccessMode, Buffer
 from repro.sycl.device import Device
@@ -73,6 +74,43 @@ class TestFaultyModel:
         assert wrapped.attempts_for(SHAPE, CONFIGS[0]) == 0
         with pytest.raises(DeviceError):
             wrapped.measured_times_seconds(SHAPE, CONFIGS[0], iterations=2)
+
+    def test_row_passthrough_without_faults(self, device):
+        base = GemmPerfModel(device)
+        wrapped = FaultyModel(GemmPerfModel(device), FaultPlan(rate=0.0))
+        indices = [config_index(c) for c in CONFIGS]
+        np.testing.assert_array_equal(
+            base.measured_row_seconds(SHAPE, indices, iterations=4),
+            wrapped.measured_row_seconds(SHAPE, indices, iterations=4),
+        )
+
+    def test_row_with_a_poisoned_cell_carries_the_rest(self, device):
+        plan = FaultPlan().poison(SHAPE, CONFIGS[1], kind=FaultKind.TIMEOUT)
+        wrapped = FaultyModel(GemmPerfModel(device), plan)
+        indices = [config_index(c) for c in CONFIGS]
+        with pytest.raises(CellFaults) as info:
+            wrapped.measured_row_seconds(SHAPE, indices, iterations=3)
+        assert set(info.value.errors) == {1}
+        assert isinstance(info.value.errors[1], DeviceTimeoutError)
+        assert "attempt 0" in str(info.value.errors[1])
+        clean = GemmPerfModel(device).measured_row_seconds(
+            SHAPE, indices, iterations=3
+        )
+        assert np.isnan(info.value.times[1]).all()
+        np.testing.assert_array_equal(
+            np.delete(info.value.times, 1, axis=0), np.delete(clean, 1, axis=0)
+        )
+
+    def test_row_counts_one_attempt_per_requested_cell(self, device):
+        plan = FaultPlan().poison(SHAPE, CONFIGS[0], fail_attempts=1)
+        wrapped = FaultyModel(GemmPerfModel(device), plan)
+        picked = [config_index(CONFIGS[0]), config_index(CONFIGS[2])]
+        with pytest.raises(CellFaults):
+            wrapped.measured_row_seconds(SHAPE, picked, iterations=2)
+        wrapped.measured_row_seconds(SHAPE, picked[:1], iterations=2)
+        assert wrapped.attempts_for(SHAPE, CONFIGS[0]) == 2
+        assert wrapped.attempts_for(SHAPE, CONFIGS[2]) == 1
+        assert wrapped.attempts_for(SHAPE, CONFIGS[1]) == 0
 
     def test_delegates_model_surface(self, device):
         wrapped = FaultyModel(GemmPerfModel(device), FaultPlan())

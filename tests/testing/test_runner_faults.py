@@ -12,7 +12,8 @@ from repro.core.selection.classifiers import make_selector
 from repro.core.selection.selector import selection_labels
 from repro.kernels.params import config_space
 from repro.sycl.device import Device
-from repro.testing import FaultKind, FaultPlan, faulty_runner
+from repro.perfmodel.model import GemmPerfModel
+from repro.testing import FaultKind, FaultPlan, FaultyModel, faulty_runner
 from repro.workloads.gemm import GemmShape
 
 SHAPES = (
@@ -110,6 +111,26 @@ class TestRetrySemantics:
             Device.r9_nano(), configs=SMALL_CONFIGS
         ).run(SHAPES[:1])
         np.testing.assert_array_equal(faulted.gflops, clean.gflops)
+
+    def test_only_failed_cells_are_retried(self):
+        plan = FaultPlan(seed=5, rate=0.3, fail_attempts=1)
+        model = FaultyModel(GemmPerfModel(Device.r9_nano()), plan)
+        runner = BenchmarkRunner(
+            Device.r9_nano(),
+            configs=SMALL_CONFIGS,
+            runner_config=RunnerConfig(max_retries=2),
+            model=model,
+        )
+        result = runner.run(SHAPES[:1])
+        assert result.n_failed_cells == 0
+        retried = {r.config for r in result.failures}
+        assert retried
+        for config in SMALL_CONFIGS:
+            expected = 2 if config in retried else 1
+            assert model.attempts_for(SHAPES[0], config) == expected
+        # One record per failed attempt, listed cell by cell.
+        order = [SMALL_CONFIGS.index(r.config) for r in result.failures]
+        assert order == sorted(order)
 
     def test_runner_config_validation(self):
         with pytest.raises(ValueError):
