@@ -60,10 +60,11 @@ bench:
 
 # Mirrors the CI bench-smoke job: throughput, obs-overhead, compiled
 # hot-path, adaptive-layer, shard-scaling and transfer-aware placement
-# gates plus a 5 s loadgen smoke with a qps floor, a multiprocess
-# scaling run with a core-count aware floor, a drifted run with a
-# gap-closure floor, the onboarding quality/cost gate (95% quality at
-# a 10% budget) and the full-stride placement-flip experiment gate.
+# gates plus a 5 s loadgen smoke with a qps floor, a 1 s sharded
+# (--processes 2) loadgen smoke, a multiprocess scaling run with a
+# core-count aware floor, a drifted run with a gap-closure floor, the
+# onboarding quality/cost gate (95% quality at a 10% budget) and the
+# full-stride placement-flip experiment gate.
 bench-smoke:
 	PYTHONPATH=src python -m pytest \
 		benchmarks/test_bench_serving.py benchmarks/test_bench_obs.py \
@@ -74,6 +75,9 @@ bench-smoke:
 	PYTHONPATH=src python -m repro.cli loadgen run \
 		--qps 40000 --duration 5 --workers 4 --compiled \
 		--min-qps 10000 --report-json loadgen-report.json
+	PYTHONPATH=src python -m repro.cli loadgen run \
+		--processes 2 --no-pace --qps 20000 --duration 1 --workers 2 \
+		--compiled --report-json loadgen-sharded-report.json
 	PYTHONPATH=src python -m repro.cli shard bench \
 		--processes 4 --qps 40000 --duration 2 --workers 2 \
 		--compiled --min-scaling 3.0 \

@@ -2,7 +2,7 @@
 
 The sharded fleet exists to put selector dispatch on every core, so the
 gate measures exactly that: the same flat-out chunked replay
-(:func:`~repro.loadgen.run_sharded_load`) against a 1-process fleet and
+(:func:`~repro.loadgen.run_load`) against a 1-process fleet and
 an N-process fleet serving the same mapped artifact, comparing achieved
 qps.  The floor is core-count aware — a 4-worker fleet cannot scale 4x
 on a 2-CPU runner — and the whole gate skips when the machine cannot
@@ -18,7 +18,7 @@ import os
 import pytest
 
 from repro.core.deploy import tune
-from repro.loadgen import LoadgenConfig, RateProfile, run_sharded_load
+from repro.loadgen import LoadgenConfig, RateProfile, run_load
 from repro.shard import ShardedFleet
 
 PROCESSES = 4
@@ -49,9 +49,7 @@ def _run(deployed, processes, seed=0):
     with ShardedFleet.from_deployed(
         deployed, processes=processes, compiled=True
     ) as fleet:
-        report = run_sharded_load(
-            fleet, _flat_out_config(seed), chunk_size=256
-        )
+        report = run_load(fleet, _flat_out_config(seed), chunk_size=256)
         requests = fleet.registry.counter("shard.requests").value
         decisions = fleet.registry.counter("shard.decisions").value
         lookups = sum(

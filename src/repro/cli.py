@@ -441,122 +441,15 @@ def _build_sharded_fleet(args, registry, *, processes):
     return ShardedFleet.from_deployed(deployed, **kwargs)
 
 
-def _run_sharded_loadgen(args, registry) -> int:
-    import json
+def _build_loadgen_router(args, registry):
+    """The in-process replica router from --store or a synthetic fleet."""
+    from repro.serving import SelectionService
+    from repro.serving.router import FleetRouter
 
-    from repro.loadgen import report_document, run_sharded_load
+    if args.store is None:
+        from repro.loadgen import synthetic_fleet
 
-    config = _loadgen_config(args)
-    fleet = _build_sharded_fleet(args, registry, processes=args.processes)
-    if fleet is None:
-        return 1
-    try:
-        report = run_sharded_load(fleet, config, chunk_size=args.chunk_size)
-        print(
-            f"loadgen: {args.processes} shard worker processes "
-            f"({'compiled' if args.compiled else 'tree-walk'} policy), "
-            f"{config.workers} generator threads, zipf {config.zipf_skew}"
-        )
-        print(report.render())
-        print(fleet.stats(pull=False).render())
-    finally:
-        fleet.close()
-    if args.report_json is not None:
-        args.report_json.write_text(
-            json.dumps(
-                report_document(
-                    report,
-                    config=_loadgen_config_doc(args),
-                    command="repro loadgen run",
-                ),
-                indent=2,
-                sort_keys=True,
-            )
-        )
-        print(f"report written to {args.report_json}")
-    if args.obs_export is not None:
-        _export_obs(args.obs_export, registry)
-    if args.min_qps is not None and report.achieved_qps < args.min_qps:
-        print(
-            f"ERROR: achieved {report.achieved_qps:,.0f} qps, below the "
-            f"--min-qps floor of {args.min_qps:,.0f}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
-def _cmd_loadgen(args) -> int:
-    import json
-
-    from repro.loadgen import (
-        report_document,
-        run_load,
-        synthetic_router,
-    )
-    from repro.obs import default_registry
-
-    registry = default_registry()
-    if args.processes is not None:
-        if args.adaptive:
-            print(
-                "ERROR: --processes drives a sharded worker fleet; the "
-                "--adaptive drift scenario is in-process only",
-                file=sys.stderr,
-            )
-            return 1
-        return _run_sharded_loadgen(args, registry)
-    if args.adaptive and args.store is not None:
-        print(
-            "ERROR: --adaptive runs the drifted synthetic-fleet scenario; "
-            "drop --store",
-            file=sys.stderr,
-        )
-        return 1
-    router = None
-    if args.adaptive:
-        pass  # run_drift_load builds its own adaptive fleet
-    elif args.store is not None:
-        from repro.pipeline import ArtifactStore
-        from repro.serving import SelectionService
-        from repro.serving.router import FleetRouter
-
-        store = ArtifactStore(args.store)
-        artifact_id = _resolve_selector_artifact(args, store)
-        if artifact_id is None:
-            return 1
-        try:
-            artifact = store.resolve(artifact_id)
-        except KeyError as exc:
-            print(f"ERROR: {exc.args[0]}", file=sys.stderr)
-            return 1
-        if artifact is None:
-            print(f"ERROR: no artifact {artifact_id!r}", file=sys.stderr)
-            return 1
-        policy = artifact.value
-        if args.compiled:
-            if not hasattr(policy, "compiled"):
-                print(
-                    f"ERROR: artifact policy {type(policy).__name__} has no "
-                    "compiled() hot path (need a DeployedSelector)",
-                    file=sys.stderr,
-                )
-                return 1
-            policy = policy.compiled()
-        router = FleetRouter(default_policy=args.policy, registry=registry)
-        for i in range(args.replicas):
-            router.add_device(
-                f"dev{i}",
-                SelectionService(
-                    policy,
-                    capacity=args.cache_capacity,
-                    registry=registry,
-                    name=f"dev{i}",
-                    provenance=artifact.provenance,
-                ),
-            )
-    else:
-        router = synthetic_router(
+        return synthetic_fleet(
             replicas=args.replicas,
             registry=registry,
             routing_policy=args.policy,
@@ -564,9 +457,70 @@ def _cmd_loadgen(args) -> int:
             budget=args.budget,
             seed=args.seed,
             compiled=args.compiled,
+        ).router
+    from repro.pipeline import ArtifactStore
+
+    store = ArtifactStore(args.store)
+    artifact_id = _resolve_selector_artifact(args, store)
+    if artifact_id is None:
+        return None
+    try:
+        artifact = store.resolve(artifact_id)
+    except KeyError as exc:
+        print(f"ERROR: {exc.args[0]}", file=sys.stderr)
+        return None
+    if artifact is None:
+        print(f"ERROR: no artifact {artifact_id!r}", file=sys.stderr)
+        return None
+    policy = artifact.value
+    if args.compiled:
+        if not hasattr(policy, "compiled"):
+            print(
+                f"ERROR: artifact policy {type(policy).__name__} has no "
+                "compiled() hot path (need a DeployedSelector)",
+                file=sys.stderr,
+            )
+            return None
+        policy = policy.compiled()
+    router = FleetRouter(default_policy=args.policy, registry=registry)
+    for i in range(args.replicas):
+        router.add_device(
+            f"dev{i}",
+            SelectionService(
+                policy,
+                capacity=args.cache_capacity,
+                registry=registry,
+                name=f"dev{i}",
+                provenance=artifact.provenance,
+            ),
         )
+    return router
+
+
+def _cmd_loadgen(args) -> int:
+    import json
+
+    from repro.loadgen import report_document, run_load
+    from repro.obs import default_registry
+
+    registry = default_registry()
+    if args.adaptive and args.processes is not None:
+        print(
+            "ERROR: --processes drives a sharded worker fleet; the "
+            "--adaptive drift scenario is in-process only",
+            file=sys.stderr,
+        )
+        return 1
+    if args.adaptive and args.store is not None:
+        print(
+            "ERROR: --adaptive runs the drifted synthetic-fleet scenario; "
+            "drop --store",
+            file=sys.stderr,
+        )
+        return 1
 
     config = _loadgen_config(args)
+    fleet_stats = None
     if args.adaptive:
         from repro.loadgen.drift import (
             DriftSpec,
@@ -589,20 +543,34 @@ def _cmd_loadgen(args) -> int:
             budget=args.budget,
             registry=registry,
         )
+        served_by = f"{args.replicas} replicas (adaptive drift policy)"
     else:
-        report = run_load(router, config, registry=registry)
-    if args.adaptive:
-        policy_name = "adaptive drift"
-    elif args.compiled:
-        policy_name = "compiled"
-    else:
-        policy_name = "tree-walk"
-    print(
-        f"loadgen: {args.replicas} replicas "
-        f"({policy_name} policy), "
-        f"{config.workers} workers, zipf {config.zipf_skew}"
-    )
+        sharded = args.processes is not None
+        if sharded:
+            target = _build_sharded_fleet(args, registry, processes=args.processes)
+            served_by = f"{args.processes} shard worker processes"
+        else:
+            target = _build_loadgen_router(args, registry)
+            served_by = f"{args.replicas} replicas"
+        if target is None:
+            return 1
+        served_by += f" ({'compiled' if args.compiled else 'tree-walk'} policy)"
+        try:
+            report = run_load(
+                target,
+                config,
+                registry=registry,
+                chunk_size=args.chunk_size if sharded else 1,
+            )
+            if sharded:
+                fleet_stats = target.stats(pull=False).render()
+        finally:
+            if sharded:
+                target.close()
+    print(f"loadgen: {served_by}, {config.workers} workers, zipf {config.zipf_skew}")
     print(report.render())
+    if fleet_stats is not None:
+        print(fleet_stats)
     if args.report_json is not None:
         args.report_json.write_text(
             json.dumps(
@@ -727,7 +695,7 @@ def _cmd_shard(args) -> int:
         return 0
 
     if args.action == "bench":
-        from repro.loadgen import report_document, run_sharded_load
+        from repro.loadgen import report_document, run_load
         from repro.obs import MetricsRegistry
 
         config = _loadgen_config(args)
@@ -739,7 +707,7 @@ def _cmd_shard(args) -> int:
             if fleet is None:
                 return 1
             try:
-                reports[label] = run_sharded_load(
+                reports[label] = run_load(
                     fleet, config, chunk_size=args.chunk_size
                 )
             finally:

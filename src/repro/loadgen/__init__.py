@@ -5,12 +5,19 @@ at traffic scale — is only testable under traffic.  This package
 simulates it: Poisson arrivals shaped by a diurnal ramp
 (:mod:`~repro.loadgen.arrivals`), a Zipf-skewed stream of real
 VGG/ResNet/MobileNet GEMM shapes (:mod:`~repro.loadgen.workload`),
-worker threads driving a :class:`~repro.serving.router.FleetRouter`
-(:mod:`~repro.loadgen.harness`), and tail-latency reporting straight
-from the :mod:`repro.obs` histograms (:mod:`~repro.loadgen.report`).
+one threaded driver, :func:`~repro.loadgen.harness.run_load`, that
+pushes them through any front door — an in-process
+:class:`~repro.serving.router.FleetRouter` one ``select`` at a time, or
+a process-parallel :class:`~repro.shard.ShardedFleet` in
+``select_batch`` chunks (:mod:`~repro.loadgen.harness`) — and
+tail-latency reporting straight from the :mod:`repro.obs` histograms
+(:mod:`~repro.loadgen.report`).  The drifted adaptive scenario
+(:func:`~repro.loadgen.drift.run_drift_load`) is a feedback hook on
+that same driver.
 
-``repro loadgen run`` is the CLI front-end; CI's bench-smoke job runs a
-pinned-throughput smoke scenario through it.
+``repro loadgen run`` is the CLI front-end (``--processes`` selects the
+sharded fleet); CI's bench-smoke job runs pinned-throughput smoke
+scenarios through it.
 """
 
 from repro.loadgen.arrivals import RateProfile, poisson_arrivals
@@ -24,11 +31,11 @@ from repro.loadgen.drift import (
 )
 from repro.loadgen.harness import (
     LoadgenConfig,
+    SelectionTarget,
     SyntheticFleet,
     run_load,
     synthetic_deployed,
     synthetic_fleet,
-    synthetic_router,
 )
 from repro.loadgen.report import (
     DriftSummary,
@@ -44,7 +51,6 @@ from repro.loadgen.workload import (
     ShapeStream,
     network_shape_pool,
 )
-from repro.loadgen.sharded import run_sharded_load
 
 __all__ = [
     "DEFAULT_NETWORKS",
@@ -56,6 +62,7 @@ __all__ = [
     "LoadgenConfig",
     "QuantileSummary",
     "RateProfile",
+    "SelectionTarget",
     "ShapeStream",
     "SyntheticFleet",
     "WorkerLoad",
@@ -68,8 +75,6 @@ __all__ = [
     "report_document",
     "run_drift_load",
     "run_load",
-    "run_sharded_load",
     "synthetic_deployed",
     "synthetic_fleet",
-    "synthetic_router",
 ]

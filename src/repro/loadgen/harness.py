@@ -1,16 +1,21 @@
-"""The closed-loop load harness: scheduled arrivals driving a fleet.
+"""The closed-loop load harness: scheduled arrivals driving a front door.
 
 :func:`run_load` replays a precomputed Poisson/diurnal arrival schedule
 (:mod:`repro.loadgen.arrivals`) with a Zipf-skewed network shape stream
-(:mod:`repro.loadgen.workload`) against a
-:class:`~repro.serving.router.FleetRouter` from a pool of worker
-threads.  Each worker owns a strided slice of the schedule, sleeps
-until each arrival is due (recording lateness when the generator cannot
-keep up), issues ``router.select`` and retires the request with
-``router.complete`` — so the ``least-outstanding`` policy sees real
-in-flight load.  Latency goes straight into ``loadgen.request_seconds``
-in the shared obs registry; the report reads p50/p99/p999 back out of
-the histograms rather than keeping per-request samples.
+(:mod:`repro.loadgen.workload`) against any :class:`SelectionTarget` —
+an in-process :class:`~repro.serving.router.FleetRouter` or a
+process-parallel :class:`~repro.shard.ShardedFleet` — from a pool of
+worker threads.  Each worker owns a strided slice of the schedule and
+walks it in chunks: a chunk of one is a ``select``, a larger chunk one
+``select_batch`` (the natural unit for a front door that shards by
+shape hash and micro-batches per worker).  Under pacing the worker
+sleeps until a chunk's first arrival is due, counting every arrival
+that was already overdue when the chunk was reached as late.  Each
+decision is retired with ``complete`` — so the ``least-outstanding``
+policy sees real in-flight load.  Latency goes straight into
+``loadgen.request_seconds`` in the shared obs registry; the report
+reads p50/p99/p999 back out of the histograms rather than keeping
+per-request samples.
 
 Two hooks support the drift/adaptive scenarios
 (:mod:`repro.loadgen.drift`): ``on_request`` observes every completed
@@ -24,8 +29,10 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from operator import itemgetter
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.loadgen.arrivals import RateProfile, poisson_arrivals
 from repro.loadgen.report import (
@@ -45,11 +52,11 @@ if TYPE_CHECKING:  # pragma: no cover - types only
 
 __all__ = [
     "LoadgenConfig",
+    "SelectionTarget",
     "SyntheticFleet",
     "run_load",
     "synthetic_deployed",
     "synthetic_fleet",
-    "synthetic_router",
 ]
 
 #: A worker this far behind schedule counts the arrival as late.
@@ -58,6 +65,33 @@ _LATE_TOLERANCE_S = 1e-3
 #: Observes (schedule index, due seconds, shape, routed decision) after
 #: each completed request — the feedback tap for adaptive scenarios.
 RequestHook = Callable[[int, float, GemmShape, RoutedDecision], None]
+
+#: One scheduled arrival: (schedule index, due seconds, shape).
+_Arrival = Tuple[int, float, GemmShape]
+_due = itemgetter(1)
+
+
+class SelectionTarget(Protocol):
+    """The front-door surface :func:`run_load` drives.
+
+    :class:`~repro.serving.router.FleetRouter` and
+    :class:`~repro.shard.ShardedFleet` both provide it.  A target may
+    also offer ``pull_metrics()``; the driver calls it after the run so
+    remote metrics are merged before the report reads them.
+    """
+
+    @property
+    def registry(self) -> MetricsRegistry: ...
+
+    def select(
+        self, shape: GemmShape, *, policy: Optional[str] = None
+    ) -> RoutedDecision: ...
+
+    def select_batch(
+        self, shapes: Sequence[GemmShape], *, policy: Optional[str] = None
+    ) -> Tuple[RoutedDecision, ...]: ...
+
+    def complete(self, device_id: str, n: int = 1) -> None: ...
 
 
 @dataclass(frozen=True)
@@ -86,12 +120,13 @@ class LoadgenConfig:
 
 
 class _Worker(threading.Thread):
-    """One generator thread: a strided slice of the arrival schedule."""
+    """One generator thread: a strided slice of the schedule, in chunks."""
 
     def __init__(
         self,
-        router: FleetRouter,
-        work: List[Tuple[int, float, GemmShape]],
+        target: SelectionTarget,
+        work: List[_Arrival],
+        chunk_size: int,
         policy: Optional[str],
         barrier: threading.Barrier,
         h_request,
@@ -99,13 +134,16 @@ class _Worker(threading.Thread):
         on_request: Optional[RequestHook],
     ):
         super().__init__(daemon=True)
-        self._router = router
-        self._work = work
+        self._target = target
+        self._chunks = [
+            work[at : at + chunk_size] for at in range(0, len(work), chunk_size)
+        ]
         self._policy = policy
         self._barrier = barrier
         self._h_request = h_request
         self._pace = pace
         self._on_request = on_request
+        self.offered = len(work)
         self.completed = 0
         self.late = 0
         self.rerouted = 0
@@ -121,53 +159,74 @@ class _Worker(threading.Thread):
             self.error = exc
 
     def _run(self) -> None:
-        router = self._router
-        observe = self._h_request.observe
+        target = self._target
+        observe_n = self._h_request.observe_n
         policy = self._policy
         pace = self._pace
         on_request = self._on_request
+        dispatched = self.dispatched
         self._barrier.wait()
         t0 = time.perf_counter()
         self.start_s = t0
-        for index, due, shape in self._work:
+        for chunk in self._chunks:
             if pace:
                 now = time.perf_counter() - t0
-                wait = due - now
+                wait = chunk[0][1] - now
                 if wait > 0:
                     time.sleep(wait)
-                elif -wait > _LATE_TOLERANCE_S:
-                    self.late += 1
+                else:
+                    # Dues ascend within a chunk: the overdue arrivals
+                    # are a prefix.
+                    self.late += bisect_left(
+                        chunk, now - _LATE_TOLERANCE_S, key=_due
+                    )
+            n = len(chunk)
             begin = time.perf_counter()
-            decision = router.select(shape, policy=policy)
-            observe(time.perf_counter() - begin)
-            device = decision.device_id
-            self.dispatched[device] = self.dispatched.get(device, 0) + 1
-            if decision.rerouted:
-                self.rerouted += 1
-            router.complete(device)
+            if n == 1:
+                decisions: Sequence[RoutedDecision] = (
+                    target.select(chunk[0][2], policy=policy),
+                )
+            else:
+                decisions = target.select_batch(
+                    [shape for _, _, shape in chunk], policy=policy
+                )
+            observe_n((time.perf_counter() - begin) / n, n)
+            for decision in decisions:
+                device = decision.device_id
+                dispatched[device] = dispatched.get(device, 0) + 1
+                if decision.rerouted:
+                    self.rerouted += 1
+                target.complete(device)
             if on_request is not None:
-                on_request(index, due, shape, decision)
-            self.completed += 1
+                for (index, due, shape), decision in zip(chunk, decisions):
+                    on_request(index, due, shape, decision)
+            self.completed += n
         self.end_s = time.perf_counter()
 
 
 def run_load(
-    router: FleetRouter,
+    target: SelectionTarget,
     config: LoadgenConfig,
     *,
     registry: Optional[MetricsRegistry] = None,
     on_request: Optional[RequestHook] = None,
+    chunk_size: int = 1,
 ) -> LoadReport:
-    """Run one load scenario against a routed fleet; returns the report.
+    """Run one load scenario against a front door; returns the report.
 
     ``registry`` is where the generator's own metrics go and where the
     service-side ``serving.lookup_seconds`` histograms are read back
     from — pass the registry the fleet's services share (defaults to
-    the router's).  ``on_request`` is called after every completed
+    the target's).  ``on_request`` is called after every completed
     request with ``(schedule index, due seconds, shape, decision)``;
-    exceptions it raises abort the run.
+    exceptions it raises abort the run.  ``chunk_size`` is how many
+    arrivals a worker issues per call: 1 uses ``select``, more use
+    ``select_batch``.  ``config.routing_policy`` is passed to both
+    (a sharded fleet ignores it — routing is the shard hash).
     """
-    registry = registry if registry is not None else router.registry
+    if chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
+    registry = registry if registry is not None else target.registry
     h_request = registry.histogram("loadgen.request_seconds")
     c_requests = registry.counter("loadgen.requests")
     c_late = registry.counter("loadgen.late_arrivals")
@@ -189,8 +248,16 @@ def run_load(
     n_workers = min(config.workers, max(1, len(schedule)))
     barrier = threading.Barrier(n_workers)
     workers = [
-        _Worker(router, schedule[i::n_workers], config.routing_policy,
-                barrier, h_request, config.pace, on_request)
+        _Worker(
+            target,
+            schedule[i::n_workers],
+            chunk_size,
+            config.routing_policy,
+            barrier,
+            h_request,
+            config.pace,
+            on_request,
+        )
         for i in range(n_workers)
     ]
     for worker in workers:
@@ -211,6 +278,12 @@ def run_load(
     c_requests.inc(completed)
     c_late.inc(late)
 
+    # A sharded fleet merges every worker process's obs delta here, so
+    # lookup_latency below is the fleet-wide view, not the front door's.
+    pull_metrics = getattr(target, "pull_metrics", None)
+    if pull_metrics is not None:
+        pull_metrics()
+
     if schedule:
         wall = max(w.end_s for w in workers) - min(w.start_s for w in workers)
     else:
@@ -218,10 +291,10 @@ def run_load(
     per_worker = tuple(
         WorkerLoad(
             worker=i,
-            offered=len(w._work),
+            offered=w.offered,
             completed=w.completed,
             late=w.late,
-            offered_qps=len(w._work) / config.duration_s,
+            offered_qps=w.offered / config.duration_s,
             achieved_qps=(
                 w.completed / (w.end_s - w.start_s)
                 if w.end_s > w.start_s
@@ -358,24 +431,3 @@ def synthetic_fleet(
         registry=registry,
     )
 
-
-def synthetic_router(
-    *,
-    replicas: int = 2,
-    registry: Optional[MetricsRegistry] = None,
-    routing_policy: str = "round-robin",
-    cache_capacity: int = 4096,
-    budget: int = 4,
-    seed: int = 0,
-    compiled: bool = False,
-) -> FleetRouter:
-    """The router of a :func:`synthetic_fleet` (backwards-compat shim)."""
-    return synthetic_fleet(
-        replicas=replicas,
-        registry=registry,
-        routing_policy=routing_policy,
-        cache_capacity=cache_capacity,
-        budget=budget,
-        seed=seed,
-        compiled=compiled,
-    ).router

@@ -1,9 +1,9 @@
 """Zero-copy mapped selector artifacts: one set of bytes, many processes.
 
-The selector codec's ``.npz`` payload must be decompressed into fresh
-arrays by every process that loads it.  The *mapped* layout removes that
-copy: each tree array is written as its own uncompressed ``.npy`` file
-so :func:`load_mapped_selector` can hand the deserialized
+This is the one on-disk layout of a deployed selector: the selector
+codec's payload and the shard workers' input.  Each tree array is
+written as its own uncompressed ``.npy`` file, so no process has to
+decompress a copy: :func:`load_mapped_selector` hands the deserialized
 :class:`~repro.ml.tree.structure.Tree` views straight off the page
 cache via ``np.load(mmap_mode="r")`` — N shard workers mapping the same
 artifact share one physical copy of the tree.  For callers that want
@@ -58,17 +58,6 @@ ARRAY_FIELDS: Tuple[str, ...] = (
 
 MAPPED_META_FILE = "selector_meta.json"
 MAPPED_SCHEMA = "repro/mapped-selector/v1"
-
-#: Metadata keys shared with the selector codec's ``selector.json``.
-_CORE_KEYS = (
-    "classifier",
-    "pruned",
-    "constant",
-    "n_features_in",
-    "classes",
-    "feature_names",
-    "has_tree",
-)
 
 
 class MappedIntegrityError(RuntimeError):

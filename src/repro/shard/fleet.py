@@ -416,9 +416,9 @@ class ShardedFleet:
     Built from a mapped selector layout (see
     :func:`repro.pipeline.mapped.write_mapped_selector`); every worker
     maps the same bytes read-only, so memory cost is one tree no matter
-    how many processes serve it.  Duck-types the
-    :class:`~repro.serving.router.FleetRouter` surface the load harness
-    uses (``select``/``select_batch``/``complete``/``registry``).
+    how many processes serve it.  Provides the
+    :class:`~repro.loadgen.harness.SelectionTarget` surface the load
+    driver uses (``select``/``select_batch``/``complete``/``registry``).
     """
 
     def __init__(
@@ -531,25 +531,20 @@ class ShardedFleet:
     ) -> "ShardedFleet":
         """Serve a ``selector`` artifact straight from the store.
 
-        Artifacts written since the mapped layout landed carry it inside
-        their payload — workers map the store's bytes directly.  Older
-        artifacts are re-exported to a fleet-owned temporary layout.
+        The artifact's payload is the mapped layout, so workers map the
+        store's bytes directly.
         """
-        from repro.pipeline.mapped import MAPPED_META_FILE
-
         artifact = store.resolve(artifact_id)
         if artifact is None:
             raise KeyError(f"cannot resolve artifact {artifact_id!r}")
-        mapped_dir = (
+        return cls(
             store.root
             / "objects"
             / artifact.provenance.fingerprint
             / "payload"
-            / "mapped"
+            / "mapped",
+            **kwargs,
         )
-        if (mapped_dir / MAPPED_META_FILE).exists():
-            return cls(mapped_dir, **kwargs)
-        return cls.from_deployed(artifact.value, **kwargs)
 
     # -- serving surface -----------------------------------------------------
 
@@ -570,9 +565,12 @@ class ShardedFleet:
         )
 
     def select_batch(
-        self, shapes: Sequence[GemmShape]
+        self, shapes: Sequence[GemmShape], *, policy: Optional[str] = None
     ) -> Tuple[RoutedDecision, ...]:
-        """Routed decisions for many shapes, one flush per shard."""
+        """Routed decisions for many shapes, one flush per shard.
+
+        ``policy`` is accepted for router parity, as in :meth:`select`.
+        """
         shapes = tuple(shapes)
         if not shapes:
             return ()

@@ -175,6 +175,49 @@ class TestHooks:
             run_load(router, config, on_request=exploding)
 
 
+class TestChunkedRun:
+    def test_chunks_use_select_batch_and_retire_every_decision(self):
+        registry = MetricsRegistry()
+        router = _stub_router(registry)
+        config = LoadgenConfig(
+            profile=RateProfile(base_qps=5000.0),
+            duration_s=0.4,
+            workers=2,
+            pace=False,
+        )
+        seen = []
+        lock = __import__("threading").Lock()
+
+        def on_request(index, due, shape, decision):
+            with lock:
+                seen.append(index)
+
+        report = run_load(router, config, on_request=on_request, chunk_size=64)
+        assert report.offered > 64
+        assert report.completed == report.offered
+        assert sorted(seen) == list(range(report.offered))
+        assert sum(report.dispatched.values()) == report.completed
+        assert report.request_latency.count == report.completed
+        # Chunks went through the batch path (only a worker's last
+        # chunk can be a lone select), and every decision was retired.
+        stats = [router.service(d).stats() for d in ("dev0", "dev1")]
+        assert sum(st.batch_calls for st in stats) > 0
+        assert sum(st.single_calls for st in stats) <= config.workers
+        for device in ("dev0", "dev1"):
+            assert registry.gauge(
+                "fleet.outstanding", {"device": device}
+            ).value == 0
+        assert sum(
+            registry.counter("fleet.dispatched", {"device": d}).value
+            for d in ("dev0", "dev1")
+        ) == report.offered
+
+    def test_rejects_a_nonpositive_chunk(self):
+        router = _stub_router(MetricsRegistry())
+        with pytest.raises(ValueError, match="chunk_size"):
+            run_load(router, LoadgenConfig(duration_s=0.1), chunk_size=0)
+
+
 class TestMergedQuantiles:
     def test_merges_across_label_sets(self):
         registry = MetricsRegistry()

@@ -142,22 +142,32 @@ class TestSelectorCodecIntegration:
             shape_pool
         )
 
-    def test_codec_falls_back_to_npz_for_legacy_payloads(
-        self, tiny_deployed, tmp_path, shape_pool
+    def test_payload_without_mapped_dir_fails_to_load(
+        self, tiny_deployed, tmp_path
     ):
         import shutil
 
-        from repro.pipeline.codecs import get_codec
+        from repro.pipeline.artifact import Provenance
+        from repro.pipeline.store import ArtifactPayloadError, ArtifactStore
 
-        codec = get_codec("selector")
-        directory = tmp_path / "payload"
-        directory.mkdir()
-        codec.save(tiny_deployed, directory)
-        shutil.rmtree(directory / "mapped")  # pre-mapped-era artifact
-        loaded = codec.load(directory)
-        assert loaded.select_batch(shape_pool) == tiny_deployed.select_batch(
-            shape_pool
+        store = ArtifactStore(tmp_path / "store")
+        provenance = Provenance(
+            stage="train",
+            fingerprint="e" * 64,
+            code_version="test",
+            params={},
+            parents={},
+            codec="selector",
         )
+        store.put(tiny_deployed, provenance)
+        payload = store.root / "objects" / provenance.fingerprint / "payload"
+        # The mapped layout is the only one: nothing else is written.
+        assert sorted(p.name for p in payload.iterdir()) == ["mapped"]
+        assert not (payload / "tree.npz").exists()
+        assert not (payload / "selector.json").exists()
+        shutil.rmtree(payload / "mapped")
+        with pytest.raises(ArtifactPayloadError, match="selector"):
+            store.get(provenance.fingerprint)
 
 
 class TestSharedSelectorBlock:

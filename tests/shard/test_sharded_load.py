@@ -1,8 +1,8 @@
-"""run_sharded_load: the chunked load driver over a ShardedFleet."""
+"""run_load over a ShardedFleet: chunked and one-at-a-time replay."""
 
 import pytest
 
-from repro.loadgen import LoadgenConfig, RateProfile, run_sharded_load
+from repro.loadgen import LoadgenConfig, RateProfile, run_load
 from repro.shard import ShardedFleet
 
 
@@ -33,7 +33,7 @@ def _config(**overrides):
 
 class TestRunShardedLoad:
     def test_answers_every_offered_request(self, fleet):
-        report = run_sharded_load(fleet, _config(), chunk_size=128)
+        report = run_load(fleet, _config(), chunk_size=128)
         assert report.offered > 0
         assert report.completed == report.offered
         assert not report.paced
@@ -47,7 +47,7 @@ class TestRunShardedLoad:
             for name, _, metric in fleet.registry.collect()
             if name == "serving.lookup_seconds"
         )
-        report = run_sharded_load(fleet, _config(seed=12), chunk_size=64)
+        report = run_load(fleet, _config(seed=12), chunk_size=64)
         after = sum(
             metric.count
             for name, _, metric in fleet.registry.collect()
@@ -61,17 +61,27 @@ class TestRunShardedLoad:
         assert report.lookup_latency.count == after
 
     def test_per_worker_breakdown_covers_the_schedule(self, fleet):
-        report = run_sharded_load(fleet, _config(seed=13), chunk_size=64)
+        report = run_load(fleet, _config(seed=13), chunk_size=64)
         assert len(report.workers) == 2
         assert sum(w.offered for w in report.workers) == report.offered
         assert sum(w.completed for w in report.workers) == report.completed
 
     def test_front_door_counters_stay_exact(self, fleet):
-        run_sharded_load(fleet, _config(seed=14), chunk_size=32)
+        run_load(fleet, _config(seed=14), chunk_size=32)
         requests = fleet.registry.counter("shard.requests").value
         decisions = fleet.registry.counter("shard.decisions").value
         assert requests == decisions > 0
 
     def test_rejects_a_nonpositive_chunk(self, fleet):
         with pytest.raises(ValueError, match="chunk_size"):
-            run_sharded_load(fleet, _config(), chunk_size=0)
+            run_load(fleet, _config(), chunk_size=0)
+
+    def test_chunk_of_one_uses_select_and_answers_everything(self, fleet):
+        report = run_load(fleet, _config(seed=15), chunk_size=1)
+        assert report.offered > 0
+        assert report.completed == report.offered
+        assert sum(report.dispatched.values()) == report.completed
+        assert report.lookup_latency is not None
+        requests = fleet.registry.counter("shard.requests").value
+        decisions = fleet.registry.counter("shard.decisions").value
+        assert requests == decisions
