@@ -89,7 +89,7 @@ def test_bench_cached_service_throughput(benchmark, deployed, query_shapes):
     assert stats.cache_misses == len(set(s.as_tuple() for s in query_shapes))
     print(
         f"\ncached replay: hit rate {stats.hit_rate * 100:.1f}%, "
-        f"p95 call latency {stats.latency.p95 * 1e3:.2f} ms"
+        f"p95 call latency {stats.latency.p95_s * 1e3:.2f} ms"
     )
 
 

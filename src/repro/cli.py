@@ -34,7 +34,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 __all__ = ["main"]
 
@@ -57,6 +57,122 @@ def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
         default=1,
         help="process-pool workers for the benchmark sweep (1 = serial)",
     )
+
+
+def _add_store_pipeline_args(parser: argparse.ArgumentParser, action: str) -> None:
+    """The store/sweep/split/selector flags ``pipeline``, ``fleet`` and
+    ``onboard`` share; ``action`` is the one that builds (for the help)."""
+    parser.add_argument(
+        "--store",
+        type=Path,
+        default=Path(".repro-store"),
+        help="artifact store root directory (shared by pipeline, fleet "
+        "and onboard)",
+    )
+    parser.add_argument(
+        "--networks",
+        nargs="*",
+        default=None,
+        metavar="NET",
+        help="restrict the sweep to these networks (default: all three)",
+    )
+    parser.add_argument("--split-seed", type=int, default=0)
+    parser.add_argument("--test-size", type=float, default=0.2)
+    parser.add_argument("--pruner", default="decision tree")
+    parser.add_argument("--budget", type=int, default=8)
+    parser.add_argument("--classifier", default="DecisionTree")
+    parser.add_argument("--seed", type=int, default=0, help="random_state")
+    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument(
+        "--force", action="store_true", help=f"re-run all stages ({action})"
+    )
+    parser.add_argument(
+        "--assert-all-cached",
+        action="store_true",
+        help=f"exit 1 unless every stage was a cache hit ({action}; CI guard)",
+    )
+
+
+def _store_pipeline_kwargs(args) -> dict:
+    """The config kwargs the :func:`_add_store_pipeline_args` flags map to."""
+    kwargs = {
+        "split_seed": args.split_seed,
+        "test_size": args.test_size,
+        "pruner": args.pruner,
+        "budget": args.budget,
+        "classifier": args.classifier,
+        "random_state": args.seed,
+    }
+    if args.networks:
+        kwargs["networks"] = tuple(args.networks)
+    return kwargs
+
+
+def _add_obs_export(parser: argparse.ArgumentParser, action: str = "") -> None:
+    when = f"{action}: " if action else ""
+    parser.add_argument(
+        "--obs-export",
+        type=Path,
+        default=None,
+        metavar="PATH",
+        help=f"{when}write a repro.obs JSON snapshot (see `repro obs`)",
+    )
+
+
+def _add_report_json(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument(
+        "--report-json",
+        type=Path,
+        default=None,
+        metavar="PATH",
+        help=f"write {what} as JSON (CI artifact)",
+    )
+
+
+def _read_obs_snapshot(
+    path: Optional[Path], hint: str, prefix: str = ""
+) -> Optional[Dict[str, Any]]:
+    """The obs document at ``path``, or None after printing an ERROR.
+
+    With a ``prefix`` the document keeps only the metrics whose name
+    starts with it (and no spans), and matching none is an error too.
+    ``hint`` says how to export a snapshot.
+    """
+    import json
+
+    from repro.obs import OBS_SCHEMA
+
+    def fail(message: str) -> Optional[Dict[str, Any]]:
+        print(f"ERROR: {message}", file=sys.stderr)
+        return None
+
+    if path is None:
+        return fail(f"no obs snapshot given; pass --snapshot PATH ({hint})")
+    try:
+        doc = json.loads(Path(path).read_text())
+    except OSError as exc:
+        return fail(f"no obs snapshot at {path} ({exc.strerror}); {hint}")
+    except ValueError as exc:
+        return fail(f"{path} is not JSON: {exc}")
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != OBS_SCHEMA:
+        return fail(
+            f"{path} is not an obs document: schema {schema!r} != {OBS_SCHEMA!r}"
+        )
+    if not prefix:
+        return doc
+    metrics = doc.get("metrics", {})
+    filtered = {
+        kind: [
+            entry
+            for entry in metrics.get(kind, [])
+            if str(entry.get("name", "")).startswith(prefix)
+        ]
+        for kind in ("counters", "gauges", "histograms")
+    }
+    if not any(filtered.values()):
+        return fail(f"no {prefix}* metrics in the snapshot {path}")
+    return {**doc, "metrics": filtered, "spans": []}
 
 
 def _load_or_generate(args):
@@ -212,17 +328,8 @@ def _cmd_tune(args) -> int:
 def _build_pipeline_config(args):
     from repro.pipeline import PaperPipelineConfig
 
-    kwargs = {
-        "device_preset": args.device,
-        "split_seed": args.split_seed,
-        "test_size": args.test_size,
-        "pruner": args.pruner,
-        "budget": args.budget,
-        "classifier": args.classifier,
-        "random_state": args.seed,
-    }
-    if args.networks:
-        kwargs["networks"] = tuple(args.networks)
+    kwargs = _store_pipeline_kwargs(args)
+    kwargs["device_preset"] = args.device
     if args.placements:
         kwargs["placements"] = tuple(args.placements)
     return PaperPipelineConfig(**kwargs)
@@ -318,17 +425,9 @@ def _cmd_serve_stats(args) -> int:
         from repro.pipeline import ArtifactStore
 
         store = ArtifactStore(args.store)
-        artifact_id = args.artifact
+        artifact_id = _resolve_selector_artifact(args, store)
         if artifact_id is None:
-            latest = store.latest("train")
-            if latest is None:
-                print(
-                    f"no trained selector artifact in {store.root}; "
-                    "run `repro pipeline run` first",
-                    file=sys.stderr,
-                )
-                return 1
-            artifact_id = latest.fingerprint
+            return 1
         service = SelectionService.from_artifact(
             store,
             artifact_id,
@@ -625,31 +724,14 @@ def _cmd_shard(args) -> int:
     if args.action == "stats":
         from repro.obs import render_dump
 
-        if args.snapshot is None:
-            print(
-                "ERROR: shard stats reads a snapshot; pass --snapshot PATH "
-                "(export one with `repro shard serve --obs-export PATH`)",
-                file=sys.stderr,
-            )
+        doc = _read_obs_snapshot(
+            args.snapshot,
+            "export one with `repro shard serve --obs-export PATH`",
+            prefix="shard.",
+        )
+        if doc is None:
             return 1
-        try:
-            doc = json.loads(Path(args.snapshot).read_text())
-        except FileNotFoundError:
-            print(f"no obs snapshot at {args.snapshot}", file=sys.stderr)
-            return 1
-        metrics = doc.get("metrics", {})
-        filtered = {
-            kind: [
-                entry
-                for entry in metrics.get(kind, [])
-                if str(entry.get("name", "")).startswith("shard.")
-            ]
-            for kind in ("counters", "gauges", "histograms")
-        }
-        if not any(filtered.values()):
-            print("no shard.* metrics in the snapshot", file=sys.stderr)
-            return 1
-        print(render_dump({**doc, "metrics": filtered, "spans": []}))
+        print(render_dump(doc))
         return 0
 
     from repro.obs import default_registry
@@ -773,37 +855,17 @@ def _cmd_shard(args) -> int:
 
 def _cmd_adaptive(args) -> int:
     if args.action == "stats":
-        import json
-
         from repro.obs import render_dump
 
-        if args.snapshot is None:
-            print(
-                "ERROR: adaptive stats reads a snapshot; pass --snapshot "
-                "PATH (export one with `repro loadgen run --adaptive "
-                "--obs-export PATH` or `repro adaptive demo --obs-export "
-                "PATH`)",
-                file=sys.stderr,
-            )
+        doc = _read_obs_snapshot(
+            args.snapshot,
+            "export one with `repro loadgen run --adaptive --obs-export "
+            "PATH` or `repro adaptive demo --obs-export PATH`",
+            prefix="adaptive.",
+        )
+        if doc is None:
             return 1
-        try:
-            doc = json.loads(Path(args.snapshot).read_text())
-        except FileNotFoundError:
-            print(f"no obs snapshot at {args.snapshot}", file=sys.stderr)
-            return 1
-        metrics = doc.get("metrics", {})
-        filtered = {
-            kind: [
-                entry
-                for entry in metrics.get(kind, [])
-                if str(entry.get("name", "")).startswith("adaptive.")
-            ]
-            for kind in ("counters", "gauges", "histograms")
-        }
-        if not any(filtered.values()):
-            print("no adaptive.* metrics in the snapshot", file=sys.stderr)
-            return 1
-        print(render_dump({**doc, "metrics": filtered, "spans": []}))
+        print(render_dump(doc))
         return 0
 
     from repro.loadgen.drift import (
@@ -870,19 +932,10 @@ def _build_fleet_config(args):
     from repro.bench.runner import RunnerConfig
     from repro.fleet import FleetPipelineConfig
 
-    kwargs = {
-        "runner": RunnerConfig(seed=args.seed),
-        "split_seed": args.split_seed,
-        "test_size": args.test_size,
-        "pruner": args.pruner,
-        "budget": args.budget,
-        "classifier": args.classifier,
-        "random_state": args.seed,
-    }
+    kwargs = _store_pipeline_kwargs(args)
+    kwargs["runner"] = RunnerConfig(seed=args.seed)
     if args.device_ids:
         kwargs["device_ids"] = tuple(args.device_ids)
-    if args.networks:
-        kwargs["networks"] = tuple(args.networks)
     return FleetPipelineConfig(**kwargs)
 
 
@@ -1272,15 +1325,12 @@ def _cmd_obs(args) -> int:
     from repro.obs import default_registry, obs_doc, render_dump, render_summary
 
     if args.snapshot is not None:
-        try:
-            doc = json.loads(Path(args.snapshot).read_text())
-        except FileNotFoundError:
-            print(
-                f"no obs snapshot at {args.snapshot}; export one with "
-                "`repro fleet route --obs-export PATH` (or serve-stats / "
-                "pipeline run)",
-                file=sys.stderr,
-            )
+        doc = _read_obs_snapshot(
+            args.snapshot,
+            "export one with `repro fleet route --obs-export PATH` (or "
+            "serve-stats / pipeline run)",
+        )
+        if doc is None:
             return 1
     else:
         # In-process registry: only useful right after a command in the
@@ -1289,12 +1339,8 @@ def _cmd_obs(args) -> int:
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
-    try:
-        render = render_dump if args.action == "dump" else render_summary
-        print(render(doc))
-    except ValueError as exc:
-        print(f"ERROR: {exc.args[0]}", file=sys.stderr)
-        return 1
+    render = render_dump if args.action == "dump" else render_summary
+    print(render(doc))
     return 0
 
 
@@ -1369,12 +1415,7 @@ def build_parser() -> argparse.ArgumentParser:
             "by this geomean margin on mixed traffic"
         ),
     )
-    p.add_argument(
-        "--report-json",
-        type=Path,
-        default=None,
-        help="write the result dict as JSON (the CI artifact)",
-    )
+    _add_report_json(p, "the result dict")
     p.set_defaults(func=_cmd_placement)
 
     p = sub.add_parser("tune", help="run the pipeline, export the selector")
@@ -1390,20 +1431,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="staged pipeline over the content-addressed artifact store",
     )
     p.add_argument("action", choices=("run", "status", "gc"))
-    p.add_argument(
-        "--store",
-        type=Path,
-        default=Path(".repro-store"),
-        help="artifact store root directory",
-    )
+    _add_store_pipeline_args(p, "run")
     p.add_argument("--device", default="r9-nano")
-    p.add_argument(
-        "--networks",
-        nargs="*",
-        default=None,
-        metavar="NET",
-        help="restrict the sweep to these networks (default: all three)",
-    )
     p.add_argument(
         "--placements",
         nargs="*",
@@ -1415,34 +1444,13 @@ def build_parser() -> argparse.ArgumentParser:
             "(device, host; default: the device-resident sweep)"
         ),
     )
-    p.add_argument("--split-seed", type=int, default=0)
-    p.add_argument("--test-size", type=float, default=0.2)
-    p.add_argument("--pruner", default="decision tree")
-    p.add_argument("--budget", type=int, default=8)
-    p.add_argument("--classifier", default="DecisionTree")
-    p.add_argument("--seed", type=int, default=0, help="random_state")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument(
-        "--force", action="store_true", help="re-run all stages (run)"
-    )
     p.add_argument(
         "--render", action="store_true", help="print the full report (run)"
     )
     p.add_argument(
-        "--assert-all-cached",
-        action="store_true",
-        help="exit 1 unless every stage was a cache hit (run; CI guard)",
-    )
-    p.add_argument(
         "--all", action="store_true", help="gc: delete every artifact"
     )
-    p.add_argument(
-        "--obs-export",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="run: write a repro.obs JSON snapshot (see `repro obs`)",
-    )
+    _add_obs_export(p, "run")
     p.set_defaults(func=_cmd_pipeline)
 
     p = sub.add_parser(
@@ -1450,12 +1458,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="multi-device fleet: per-device selector artifacts + routing",
     )
     p.add_argument("action", choices=("build", "route", "stats", "devices"))
-    p.add_argument(
-        "--store",
-        type=Path,
-        default=Path(".repro-store"),
-        help="artifact store root directory (shared with `repro pipeline`)",
-    )
+    _add_store_pipeline_args(p, "build")
     p.add_argument(
         "--device-ids",
         nargs="*",
@@ -1463,28 +1466,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="ID",
         help="fleet device profiles (default: the builtin four; "
         "see `repro fleet devices`)",
-    )
-    p.add_argument(
-        "--networks",
-        nargs="*",
-        default=None,
-        metavar="NET",
-        help="restrict the sweep to these networks (default: all three)",
-    )
-    p.add_argument("--split-seed", type=int, default=0)
-    p.add_argument("--test-size", type=float, default=0.2)
-    p.add_argument("--pruner", default="decision tree")
-    p.add_argument("--budget", type=int, default=8)
-    p.add_argument("--classifier", default="DecisionTree")
-    p.add_argument("--seed", type=int, default=0, help="random_state")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument(
-        "--force", action="store_true", help="re-run all stages (build)"
-    )
-    p.add_argument(
-        "--assert-all-cached",
-        action="store_true",
-        help="exit 1 unless every stage was a cache hit (build; CI guard)",
     )
     p.add_argument(
         "--policy",
@@ -1506,13 +1487,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="route: inject faults into these devices' policies, forcing "
         "breaker trips and cross-device reroutes (demo/obs)",
     )
-    p.add_argument(
-        "--obs-export",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="route: write a repro.obs JSON snapshot (see `repro obs`)",
-    )
+    _add_obs_export(p, "route")
     p.add_argument(
         "--json",
         dest="as_json",
@@ -1527,12 +1502,7 @@ def build_parser() -> argparse.ArgumentParser:
         "imputation instead of a full table",
     )
     p.add_argument("action", choices=("run", "report", "compare"))
-    p.add_argument(
-        "--store",
-        type=Path,
-        default=Path(".repro-store"),
-        help="artifact store root directory (shared with `repro fleet`)",
-    )
+    _add_store_pipeline_args(p, "run")
     p.add_argument(
         "--target",
         required=True,
@@ -1615,40 +1585,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="fleet device profiles (default: the builtin four)",
     )
     p.add_argument(
-        "--networks",
-        nargs="*",
-        default=None,
-        metavar="NET",
-        help="restrict the sweep to these networks (default: all three)",
-    )
-    p.add_argument("--split-seed", type=int, default=0)
-    p.add_argument("--test-size", type=float, default=0.2)
-    p.add_argument("--pruner", default="decision tree")
-    p.add_argument("--budget", type=int, default=8)
-    p.add_argument("--classifier", default="DecisionTree")
-    p.add_argument("--seed", type=int, default=0, help="random_state")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument(
-        "--force", action="store_true", help="re-run all stages (run)"
-    )
-    p.add_argument(
-        "--assert-all-cached",
-        action="store_true",
-        help="exit 1 unless every stage was a cache hit (run; CI guard)",
-    )
-    p.add_argument(
         "--assert-sources-cached",
         action="store_true",
         help="exit 1 if any non-onboard stage executed (run; proves a "
         "budget change re-runs exactly the onboard branch)",
     )
-    p.add_argument(
-        "--report-json",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the onboard report (plus meta) as JSON",
-    )
+    _add_report_json(p, "the onboard report (plus meta)")
     p.set_defaults(func=_cmd_onboard)
 
     p = sub.add_parser(
@@ -1679,13 +1621,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--cache-capacity", type=int, default=4096, help="LRU memo capacity"
     )
-    p.add_argument(
-        "--obs-export",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write a repro.obs JSON snapshot (see `repro obs`)",
-    )
+    _add_obs_export(p)
     p.set_defaults(func=_cmd_serve_stats)
 
     p = sub.add_parser(
@@ -1816,20 +1752,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 if adaptive serving closes less of the static-to-"
         "oracle gap than this fraction (CI gate; needs --adaptive)",
     )
-    p.add_argument(
-        "--report-json",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write the load report as JSON (CI artifact)",
-    )
-    p.add_argument(
-        "--obs-export",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="write a repro.obs JSON snapshot (see `repro obs`)",
-    )
+    _add_report_json(p, "the load report")
+    _add_obs_export(p)
     p.set_defaults(func=_cmd_loadgen)
 
     p = sub.add_parser(
@@ -1919,13 +1843,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="bench: exit 1 if N-process throughput scales below this "
         "factor over 1 process (core-count aware; CI gate)",
     )
-    p.add_argument(
-        "--report-json",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="bench: write the scaling report as JSON (CI artifact)",
-    )
+    _add_report_json(p, "the bench scaling report")
     p.add_argument(
         "--snapshot",
         type=Path,
@@ -1933,13 +1851,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="stats: obs JSON snapshot written by --obs-export",
     )
-    p.add_argument(
-        "--obs-export",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="serve: write a repro.obs JSON snapshot (see `repro obs`)",
-    )
+    _add_obs_export(p, "serve")
     p.set_defaults(func=_cmd_shard)
 
     p = sub.add_parser(
@@ -1999,13 +1911,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         help="stats: obs JSON snapshot written by --obs-export",
     )
-    p.add_argument(
-        "--obs-export",
-        type=Path,
-        default=None,
-        metavar="PATH",
-        help="demo: write a repro.obs JSON snapshot (see `repro obs`)",
-    )
+    _add_obs_export(p, "demo")
     p.set_defaults(func=_cmd_adaptive)
 
     p = sub.add_parser(

@@ -40,10 +40,8 @@ from repro.loadgen.harness import (
 from repro.loadgen.report import (
     DriftSummary,
     LoadReport,
-    QuantileSummary,
     WorkerLoad,
     git_revision,
-    merged_quantiles,
     report_document,
 )
 from repro.loadgen.workload import (
@@ -60,7 +58,6 @@ __all__ = [
     "DriftedLatencyModel",
     "LoadReport",
     "LoadgenConfig",
-    "QuantileSummary",
     "RateProfile",
     "SelectionTarget",
     "ShapeStream",
@@ -68,7 +65,6 @@ __all__ = [
     "WorkerLoad",
     "drift_adaptive_config",
     "git_revision",
-    "merged_quantiles",
     "network_shape_pool",
     "poisson_arrivals",
     "replay_drift",

@@ -35,14 +35,9 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.loadgen.arrivals import RateProfile, poisson_arrivals
-from repro.loadgen.report import (
-    LoadReport,
-    QuantileSummary,
-    WorkerLoad,
-    merged_quantiles,
-)
+from repro.loadgen.report import LoadReport, WorkerLoad
 from repro.loadgen.workload import DEFAULT_NETWORKS, ShapeStream, network_shape_pool
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import MetricsRegistry, merged_summary
 from repro.serving.router import FleetRouter, RoutedDecision
 from repro.workloads.gemm import GemmShape
 
@@ -310,8 +305,8 @@ def run_load(
         completed=completed,
         late=late,
         achieved_qps=completed / wall if wall > 0 else 0.0,
-        request_latency=QuantileSummary.from_histogram(h_request),
-        lookup_latency=merged_quantiles(registry, "serving.lookup_seconds"),
+        request_latency=h_request.summary(),
+        lookup_latency=merged_summary(registry, "serving.lookup_seconds"),
         dispatched=dispatched,
         rerouted=rerouted,
         paced=config.pace,

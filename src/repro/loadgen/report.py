@@ -3,10 +3,10 @@
 The harness never keeps per-request samples — at millions of queries
 that would be the dominant allocation.  Latency lives in the same
 log-bucketed :class:`~repro.obs.metrics.Histogram` primitives the
-serving layer already exports, and the report reads p50/p99/p999 back
-out with :func:`~repro.obs.metrics.histogram_quantile`, merging bucket
-counts across labelled instances (e.g. one ``serving.lookup_seconds``
-per fleet device) where needed.
+serving layer already exports, and the report carries their
+:class:`~repro.obs.metrics.HistogramSummary`: the generator's own
+request histogram, plus :func:`~repro.obs.registry.merged_summary` over
+every device's ``serving.lookup_seconds`` for the service-side view.
 """
 
 from __future__ import annotations
@@ -15,17 +15,14 @@ import subprocess
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
-from repro.obs.metrics import Histogram, histogram_quantile
-from repro.obs.registry import MetricsRegistry
+from repro.obs.metrics import HistogramSummary, format_seconds
 
 __all__ = [
     "DriftSummary",
     "LoadReport",
-    "QuantileSummary",
     "REPORT_SCHEMA",
     "WorkerLoad",
     "git_revision",
-    "merged_quantiles",
     "report_document",
 ]
 
@@ -37,118 +34,6 @@ _SATURATION_RATIO = 0.9
 
 #: late arrivals above this fraction of offered flags saturation.
 _SATURATION_LATE_FRACTION = 0.05
-
-
-def _fmt_seconds(seconds: float) -> str:
-    if seconds < 1e-6:
-        return f"{seconds * 1e9:.0f} ns"
-    if seconds < 1e-3:
-        return f"{seconds * 1e6:.1f} us"
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.2f} ms"
-    return f"{seconds:.3f} s"
-
-
-@dataclass(frozen=True)
-class QuantileSummary:
-    """p50/p99/p999 of one latency distribution, histogram-estimated."""
-
-    count: int
-    mean_s: float
-    p50_s: float
-    p99_s: float
-    p999_s: float
-
-    @classmethod
-    def from_histogram(cls, histogram: Histogram) -> "QuantileSummary":
-        snap = histogram.snapshot()
-        return cls.from_buckets(
-            tuple(snap["bounds"]),
-            tuple(snap["counts"]),
-            count=snap["count"],
-            total=snap["sum"],
-            minimum=snap["min"],
-            maximum=snap["max"],
-        )
-
-    @classmethod
-    def from_buckets(
-        cls,
-        bounds: Tuple[float, ...],
-        counts: Tuple[int, ...],
-        *,
-        count: int,
-        total: float,
-        minimum: float,
-        maximum: float,
-    ) -> "QuantileSummary":
-        def q(quantile: float) -> float:
-            return histogram_quantile(
-                bounds, counts, quantile, minimum=minimum, maximum=maximum
-            )
-
-        return cls(
-            count=count,
-            mean_s=total / count if count else 0.0,
-            p50_s=q(0.50),
-            p99_s=q(0.99),
-            p999_s=q(0.999),
-        )
-
-    def render(self) -> str:
-        return (
-            f"p50 {_fmt_seconds(self.p50_s)}  p99 {_fmt_seconds(self.p99_s)}  "
-            f"p999 {_fmt_seconds(self.p999_s)}  "
-            f"(mean {_fmt_seconds(self.mean_s)}, n={self.count})"
-        )
-
-
-def merged_quantiles(
-    registry: MetricsRegistry, name: str
-) -> Optional[QuantileSummary]:
-    """One :class:`QuantileSummary` over every histogram named ``name``.
-
-    Bucket counts are summed across label sets (identical log-spaced
-    bounds required), which is exactly how multi-instance histograms
-    aggregate; returns None when the registry has no observations under
-    that name.
-    """
-    bounds: Optional[Tuple[float, ...]] = None
-    counts: Optional[list] = None
-    count = 0
-    total = 0.0
-    minimum = float("inf")
-    maximum = 0.0
-    for metric_name, _, metric in registry.collect():
-        if metric_name != name or not isinstance(metric, Histogram):
-            continue
-        snap = metric.snapshot()
-        if not snap["count"]:
-            continue
-        if bounds is None:
-            bounds = tuple(snap["bounds"])
-            counts = list(snap["counts"])
-        elif tuple(snap["bounds"]) != bounds:
-            raise ValueError(
-                f"histograms named {name!r} have mismatched bucket bounds"
-            )
-        else:
-            for i, c in enumerate(snap["counts"]):
-                counts[i] += c
-        count += snap["count"]
-        total += snap["sum"]
-        minimum = min(minimum, snap["min"])
-        maximum = max(maximum, snap["max"])
-    if bounds is None or counts is None or count == 0:
-        return None
-    return QuantileSummary.from_buckets(
-        bounds,
-        tuple(counts),
-        count=count,
-        total=total,
-        minimum=minimum,
-        maximum=maximum,
-    )
 
 
 @dataclass(frozen=True)
@@ -180,9 +65,9 @@ class DriftSummary:
             f"drift: x{self.factor:g} at {self.drift_at:.0%} of the run, "
             f"{self.post_drift}/{self.requests} post-drift requests\n"
             f"post-drift geomean: adaptive "
-            f"{_fmt_seconds(self.adaptive_geomean_s)}  static "
-            f"{_fmt_seconds(self.static_geomean_s)}  oracle "
-            f"{_fmt_seconds(self.oracle_geomean_s)}  -> gap closure "
+            f"{format_seconds(self.adaptive_geomean_s)}  static "
+            f"{format_seconds(self.static_geomean_s)}  oracle "
+            f"{format_seconds(self.oracle_geomean_s)}  -> gap closure "
             f"{self.gap_closure:.1%}\n"
             f"adaptation: {self.trials} trials, {self.promotions} "
             f"promotions, {self.demotions} demotions"
@@ -252,8 +137,8 @@ class LoadReport:
     completed: int
     late: int
     achieved_qps: float
-    request_latency: QuantileSummary
-    lookup_latency: Optional[QuantileSummary]
+    request_latency: HistogramSummary
+    lookup_latency: Optional[HistogramSummary]
     dispatched: Dict[str, int]
     rerouted: int
     #: Adaptive-vs-static columns; only set by drifted scenarios.
@@ -317,18 +202,7 @@ class LoadReport:
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-serializable form (CI artifacts, further analysis)."""
-
-        def summary(s: Optional[QuantileSummary]) -> Optional[Dict[str, Any]]:
-            if s is None:
-                return None
-            return {
-                "count": s.count,
-                "mean_s": s.mean_s,
-                "p50_s": s.p50_s,
-                "p99_s": s.p99_s,
-                "p999_s": s.p999_s,
-            }
-
+        lookup = self.lookup_latency
         return {
             "duration_s": self.duration_s,
             "wall_s": self.wall_s,
@@ -336,8 +210,8 @@ class LoadReport:
             "completed": self.completed,
             "late": self.late,
             "achieved_qps": self.achieved_qps,
-            "request_latency": summary(self.request_latency),
-            "lookup_latency": summary(self.lookup_latency),
+            "request_latency": self.request_latency.to_dict(),
+            "lookup_latency": None if lookup is None else lookup.to_dict(),
             "dispatched": dict(self.dispatched),
             "rerouted": self.rerouted,
             "drift": None if self.drift is None else self.drift.to_dict(),

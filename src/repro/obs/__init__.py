@@ -10,6 +10,12 @@ kernel selection measurably negligible? — across every layer at once.
 The legacy ``stats()`` snapshots (``ServiceStats``, ``FleetStats``,
 ``ExecutorStats``) are thin views computed from these metrics; nothing
 is double-counted.
+
+Every latency readout — the services' ``stats().latency``, the shard
+fleet's merged view, the load report's tails and the ``repro obs``
+summary lines — is a :class:`HistogramSummary` taken from one histogram
+snapshot (:meth:`Histogram.summary`), or from several folded together
+by :func:`merged_summary`; no other module computes quantiles.
 """
 
 from repro.obs.aggregate import SnapshotDeltaTracker
@@ -17,7 +23,9 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    HistogramSummary,
     LATENCY_BUCKETS_S,
+    format_seconds,
     histogram_quantile,
 )
 from repro.obs.registry import (
@@ -25,6 +33,7 @@ from repro.obs.registry import (
     NullRegistry,
     NULL_REGISTRY,
     default_registry,
+    merged_summary,
 )
 from repro.obs.render import OBS_SCHEMA, obs_doc, render_dump, render_summary
 from repro.obs.trace import NullTracer, NULL_TRACER, SpanRecord, Tracer
@@ -33,6 +42,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "HistogramSummary",
     "LATENCY_BUCKETS_S",
     "MetricsRegistry",
     "NullRegistry",
@@ -44,7 +54,9 @@ __all__ = [
     "SpanRecord",
     "Tracer",
     "default_registry",
+    "format_seconds",
     "histogram_quantile",
+    "merged_summary",
     "obs_doc",
     "render_dump",
     "render_summary",

@@ -6,19 +6,26 @@ bucket bounds (four per decade from 0.1 microseconds to 10 seconds) that
 suit the microsecond-scale selection lookups the paper's "negligible
 overhead" argument is about: a memo hit, a full decision-tree pass and a
 pathological stall land in clearly separated buckets.
+
+:class:`HistogramSummary` is the one way a histogram is read back out:
+count, mean, p50/p95/p99/p999 and max from a single snapshot, rendered
+with :func:`format_seconds`.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
+from dataclasses import asdict, dataclass
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "HistogramSummary",
     "LATENCY_BUCKETS_S",
+    "format_seconds",
     "histogram_quantile",
 ]
 
@@ -66,6 +73,78 @@ def histogram_quantile(
             value = lo + (hi - lo) * fraction
             return min(max(value, minimum), maximum)
     return maximum
+
+
+def format_seconds(seconds: float) -> str:
+    """Humanise a seconds quantity: ns below a microsecond, then us, ms, s."""
+    if seconds < 1e-6:
+        return f"{seconds * 1e9:.0f} ns"
+    if seconds < 1e-3:
+        return f"{seconds * 1e6:.1f} us"
+    if seconds < 1.0:
+        return f"{seconds * 1e3:.2f} ms"
+    return f"{seconds:.3f} s"
+
+
+@dataclass(frozen=True)
+class HistogramSummary:
+    """Count, mean, tail quantiles and max of one latency distribution.
+
+    Quantiles are bucket-interpolated estimates, clamped to the observed
+    ``[min, max]``; ``count`` covers every observation since the
+    histogram was created or reset, not a sliding window.
+    """
+
+    count: int
+    mean_s: float
+    p50_s: float
+    p95_s: float
+    p99_s: float
+    p999_s: float
+    max_s: float
+
+    @classmethod
+    def from_snapshot(cls, snap: Mapping[str, Any]) -> "HistogramSummary":
+        """Summarise a :meth:`Histogram.snapshot` dict or obs-JSON entry."""
+        bounds = snap["bounds"]
+        counts = snap["counts"]
+        count = int(snap["count"])
+        minimum = float(snap["min"])
+        maximum = float(snap["max"])
+
+        def q(quantile: float) -> float:
+            return histogram_quantile(
+                bounds, counts, quantile, minimum=minimum, maximum=maximum
+            )
+
+        return cls(
+            count=count,
+            mean_s=float(snap["sum"]) / count if count else 0.0,
+            p50_s=q(0.5),
+            p95_s=q(0.95),
+            p99_s=q(0.99),
+            p999_s=q(0.999),
+            max_s=maximum,
+        )
+
+    def render(self) -> str:
+        if not self.count:
+            return "(no observations)"
+        columns = "  ".join(
+            f"{label} {format_seconds(value):>8s}"
+            for label, value in (
+                ("mean", self.mean_s),
+                ("p50", self.p50_s),
+                ("p95", self.p95_s),
+                ("p99", self.p99_s),
+                ("p999", self.p999_s),
+                ("max", self.max_s),
+            )
+        )
+        return f"count {self.count:<9d} {columns}"
+
+    def to_dict(self) -> Dict[str, Any]:
+        return asdict(self)
 
 
 class Counter:
@@ -249,6 +328,10 @@ class Histogram:
             self._bounds, counts, q, minimum=minimum, maximum=maximum
         )
 
+    def summary(self) -> HistogramSummary:
+        """Every summary field read from one snapshot (one lock hold)."""
+        return HistogramSummary.from_snapshot(self.snapshot())
+
     def reset(self) -> None:
         with self._lock:
             self._counts = [0] * (len(self._bounds) + 1)
@@ -279,8 +362,8 @@ class Histogram:
         bounds = tuple(float(b) for b in snapshot["bounds"])
         if bounds != self._bounds:
             raise ValueError(
-                f"cannot merge histogram with bounds {bounds} into one "
-                f"with bounds {self._bounds}"
+                f"mismatched bucket bounds: cannot merge histogram with "
+                f"bounds {bounds} into one with bounds {self._bounds}"
             )
         counts = [int(c) for c in snapshot["counts"]]
         if len(counts) != len(self._counts):

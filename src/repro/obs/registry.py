@@ -7,7 +7,9 @@ returns the same instance, so independent components (a serving cache, a
 fleet router, a pipeline executor) share one registry and one exported
 snapshot.  :data:`NULL_REGISTRY` is the uninstrumented variant: every
 metric it returns is a no-op, which is what the obs-overhead benchmark
-measures against.
+measures against.  :func:`merged_summary` reads one
+:class:`~repro.obs.metrics.HistogramSummary` over every label set of a
+histogram name (e.g. one ``serving.lookup_seconds`` per fleet device).
 """
 
 from __future__ import annotations
@@ -15,13 +17,14 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Type
 
-from repro.obs.metrics import Counter, Gauge, Histogram
+from repro.obs.metrics import Counter, Gauge, Histogram, HistogramSummary
 
 __all__ = [
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
     "default_registry",
+    "merged_summary",
 ]
 
 _LabelKey = Tuple[Tuple[str, str], ...]
@@ -209,3 +212,27 @@ _DEFAULT_REGISTRY = MetricsRegistry()
 def default_registry() -> MetricsRegistry:
     """The process-wide default registry (used by the CLI demos)."""
     return _DEFAULT_REGISTRY
+
+
+def merged_summary(
+    registry: MetricsRegistry, name: str
+) -> Optional[HistogramSummary]:
+    """One summary over every histogram named ``name``, any label set.
+
+    Each non-empty histogram is folded into one fresh
+    :class:`~repro.obs.metrics.Histogram` with
+    :meth:`~repro.obs.metrics.Histogram.merge_snapshot` (identical
+    bounds required, else ``ValueError``); None when nothing under that
+    name has observations.
+    """
+    merged: Optional[Histogram] = None
+    for metric_name, _, metric in registry.collect():
+        if metric_name != name or not isinstance(metric, Histogram):
+            continue
+        snap = metric.snapshot()
+        if not snap["count"]:
+            continue
+        if merged is None:
+            merged = Histogram(snap["bounds"])
+        merged.merge_snapshot(snap)
+    return None if merged is None else merged.summary()

@@ -5,14 +5,15 @@ tracer export — what ``repro fleet route --obs-export`` writes and what
 ``repro obs dump|summary`` reads back (or builds from the in-process
 default registry).  ``render_dump`` prints everything, bucket bars and
 span trees included; ``render_summary`` condenses each histogram to its
-count/mean/p50/p95/max line and each span name to an aggregate.
+:class:`~repro.obs.metrics.HistogramSummary` line and each span name to
+an aggregate.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, Iterable, List, Mapping, Optional
 
-from repro.obs.metrics import histogram_quantile
+from repro.obs.metrics import HistogramSummary, format_seconds
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import Tracer
 
@@ -52,31 +53,9 @@ def _metric_id(entry: Mapping[str, Any]) -> str:
     return f"{entry['name']}{_label_suffix(entry.get('labels', {}))}"
 
 
-def _seconds(value: float) -> str:
-    """Humanise a seconds quantity at microsecond granularity."""
-    if value >= 1.0:
-        return f"{value:.3f}s"
-    if value >= 1e-3:
-        return f"{value * 1e3:.2f}ms"
-    return f"{value * 1e6:.1f}us"
-
-
 def _histogram_line(entry: Mapping[str, Any]) -> str:
-    count = int(entry.get("count", 0))
-    if count == 0:
-        return f"{_metric_id(entry):44s} (no observations)"
-    bounds = entry["bounds"]
-    counts = entry["counts"]
-    mean = entry["sum"] / count
-    minimum = float(entry.get("min", 0.0))
-    maximum = float(entry.get("max", 0.0))
-    p50 = histogram_quantile(bounds, counts, 0.5, minimum=minimum, maximum=maximum)
-    p95 = histogram_quantile(bounds, counts, 0.95, minimum=minimum, maximum=maximum)
-    return (
-        f"{_metric_id(entry):44s} count {count:<9d} mean {_seconds(mean):>9s}  "
-        f"p50 {_seconds(p50):>9s}  p95 {_seconds(p95):>9s}  "
-        f"max {_seconds(maximum):>9s}"
-    )
+    summary = HistogramSummary.from_snapshot(entry)
+    return f"{_metric_id(entry):44s} {summary.render()}"
 
 
 def _histogram_bars(entry: Mapping[str, Any]) -> List[str]:
@@ -89,7 +68,7 @@ def _histogram_bars(entry: Mapping[str, Any]) -> List[str]:
     for i, bucket_count in enumerate(counts):
         if bucket_count == 0:
             continue
-        edge = f"<= {_seconds(bounds[i])}" if i < len(bounds) else "overflow"
+        edge = f"<= {format_seconds(bounds[i])}" if i < len(bounds) else "overflow"
         bar = "#" * max(1, round(_BAR_WIDTH * bucket_count / peak))
         lines.append(f"    {edge:>12s}  {bar:<{_BAR_WIDTH}s} {bucket_count}")
     return lines
@@ -100,7 +79,7 @@ def _span_lines(span: Mapping[str, Any], depth: int = 0) -> List[str]:
     tag_text = f"  {_label_suffix(tags)}" if tags else ""
     lines = [
         f"  {'  ' * depth}{span['name']:{max(1, 40 - 2 * depth)}s} "
-        f"{_seconds(float(span['duration_s'])):>9s}{tag_text}"
+        f"{format_seconds(float(span['duration_s'])):>9s}{tag_text}"
     ]
     for child in span.get("children", ()):
         lines.extend(_span_lines(child, depth + 1))
@@ -178,8 +157,9 @@ def render_summary(doc: Mapping[str, Any]) -> str:
             mean = entry["total_s"] / entry["count"]
             lines.append(
                 f"  {name:44s} count {entry['count']:<9d} "
-                f"mean {_seconds(mean):>9s}  total {_seconds(entry['total_s']):>9s}  "
-                f"max {_seconds(entry['max_s']):>9s}"
+                f"mean {format_seconds(mean):>9s}  "
+                f"total {format_seconds(entry['total_s']):>9s}  "
+                f"max {format_seconds(entry['max_s']):>9s}"
             )
     if not lines:
         lines.append("(empty obs document: no metrics or spans recorded)")

@@ -9,14 +9,13 @@ fallback when a device's circuit breaker opens.
 from repro.serving.adaptive import AdaptiveSelectionService, AdaptiveStats
 from repro.serving.router import ROUTING_POLICIES, FleetRouter, RoutedDecision
 from repro.serving.service import SelectionService
-from repro.serving.stats import FleetStats, LatencySummary, ServiceStats
+from repro.serving.stats import FleetStats, ServiceStats
 
 __all__ = [
     "AdaptiveSelectionService",
     "AdaptiveStats",
     "FleetRouter",
     "FleetStats",
-    "LatencySummary",
     "ROUTING_POLICIES",
     "RoutedDecision",
     "SelectionService",

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 from repro.kernels.params import KernelConfig
 from repro.obs.metrics import Counter, Gauge, Histogram
 from repro.obs.registry import MetricsRegistry
-from repro.serving.stats import LatencySummary, ServiceStats
+from repro.serving.stats import ServiceStats
 from repro.workloads.gemm import GemmShape
 
 __all__ = ["SelectionService"]
@@ -329,7 +329,7 @@ class SelectionService:
                 evictions=self._c_evictions.value,
                 cache_size=len(self._cache),
                 capacity=self._capacity,
-                latency=LatencySummary.from_histogram(self._h_call),
+                latency=self._h_call.summary(),
                 policy_errors=self._c_policy_errors.value,
                 fallback_serves=self._c_fallback_serves.value,
                 breaker_trips=self._c_breaker_trips.value,

@@ -8,42 +8,11 @@ paid in full, and how long the decision path takes when it is paid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from typing import Any, Dict, Optional
 
-if TYPE_CHECKING:  # pragma: no cover - import only for annotations
-    from repro.obs.metrics import Histogram
+from repro.obs.metrics import HistogramSummary
 
-__all__ = ["FleetStats", "LatencySummary", "ServiceStats"]
-
-
-@dataclass(frozen=True)
-class LatencySummary:
-    """Summary of recent per-call selection latencies (seconds)."""
-
-    count: int
-    mean: float
-    p50: float
-    p95: float
-    maximum: float
-
-    @staticmethod
-    def from_histogram(histogram: "Histogram") -> "LatencySummary":
-        """Thin view over a :class:`repro.obs.Histogram`.
-
-        Percentiles are bucket-interpolated estimates (exact at the
-        observed extrema); ``count`` covers every observation since the
-        histogram was created or reset, not a sliding window.
-        """
-        count = histogram.count
-        if count == 0:
-            return LatencySummary(0, 0.0, 0.0, 0.0, 0.0)
-        return LatencySummary(
-            count=count,
-            mean=histogram.mean,
-            p50=histogram.quantile(0.5),
-            p95=histogram.quantile(0.95),
-            maximum=histogram.maximum,
-        )
+__all__ = ["FleetStats", "ServiceStats"]
 
 
 @dataclass(frozen=True)
@@ -58,7 +27,8 @@ class ServiceStats:
     ``fallback_serves`` the queries answered with the last-known-good or
     configured fallback configuration instead, and ``breaker_trips`` /
     ``breaker_open`` describe the circuit breaker that stops hammering a
-    persistently failing policy.
+    persistently failing policy.  ``latency`` summarises the per-call
+    ``serving.call_seconds`` histogram.
     """
 
     lookups: int
@@ -70,7 +40,7 @@ class ServiceStats:
     evictions: int
     cache_size: int
     capacity: int
-    latency: LatencySummary
+    latency: HistogramSummary
     policy_errors: int = 0
     fallback_serves: int = 0
     breaker_trips: int = 0
@@ -93,7 +63,6 @@ class ServiceStats:
 
     def render(self) -> str:
         """Human-readable report for CLI/log output."""
-        lat = self.latency
         lines = [
             f"lookups          {self.lookups}",
             f"cache hits       {self.cache_hits} "
@@ -109,9 +78,7 @@ class ServiceStats:
             f"({self.fallback_serves} fallback serves)",
             f"circuit breaker  {'OPEN' if self.breaker_open else 'closed'} "
             f"({self.breaker_trips} trips)",
-            f"call latency     mean {lat.mean * 1e6:.1f}us, "
-            f"p50 {lat.p50 * 1e6:.1f}us, p95 {lat.p95 * 1e6:.1f}us "
-            f"over {lat.count} calls",
+            f"call latency     {self.latency.render()}",
         ]
         if self.artifact_id is not None:
             lines.append(f"policy artifact  {self.artifact_id}")

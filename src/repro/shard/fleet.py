@@ -26,7 +26,8 @@ Design, layer by layer:
   :meth:`~repro.obs.registry.MetricsRegistry.snapshot` deltas
   (:class:`~repro.obs.aggregate.SnapshotDeltaTracker`) over the same
   pipe; :meth:`pull_metrics` merges them into the fleet registry, so
-  ``merged_quantiles(fleet.registry, "serving.lookup_seconds")`` is the
+  :func:`~repro.obs.registry.merged_summary` of
+  ``serving.lookup_seconds`` over ``fleet.registry`` summarises the
   fleet-wide latency distribution and counter totals are exact.
 
 The front door also keeps its own ``shard.requests`` / ``shard.decisions``
@@ -48,7 +49,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.metrics import HistogramSummary
+from repro.obs.registry import MetricsRegistry, merged_summary
 from repro.pipeline.mapped import read_mapped_meta
 from repro.serving.router import RoutedDecision
 from repro.shard.protocol import WorkerSpec, shard_of
@@ -116,8 +118,8 @@ class ShardStats:
     batches: int
     mean_batch_size: float
     dispatched: Dict[str, int]
-    lookup_latency: Optional[Any]  # QuantileSummary
-    request_latency: Optional[Any]  # QuantileSummary
+    lookup_latency: Optional[HistogramSummary]
+    request_latency: Optional[HistogramSummary]
 
     def render(self) -> str:
         alive = sum(1 for w in self.workers if w.alive)
@@ -670,16 +672,13 @@ class ShardedFleet:
 
     def stats(self, *, pull: bool = True) -> ShardStats:
         """Fleet-wide stats; ``pull=True`` refreshes worker deltas first."""
-        from repro.loadgen.report import QuantileSummary, merged_quantiles
-
         if pull and not self._closing:
             self.pull_metrics()
-        reg = self.registry
         dispatched = {
             slot.name: self._dispatched_counter(slot.name).value
             for slot in self._slots
         }
-        request_hist = self._h_request
+        request_latency = self._h_request.summary()
         return ShardStats(
             workers=tuple(
                 WorkerInfo(
@@ -697,12 +696,8 @@ class ShardedFleet:
             batches=self._c_batches.value,
             mean_batch_size=self._h_batch_size.mean,
             dispatched=dispatched,
-            lookup_latency=merged_quantiles(reg, "serving.lookup_seconds"),
-            request_latency=(
-                QuantileSummary.from_histogram(request_hist)
-                if request_hist.count
-                else None
-            ),
+            lookup_latency=merged_summary(self.registry, "serving.lookup_seconds"),
+            request_latency=request_latency if request_latency.count else None,
         )
 
     # -- chaos / lifecycle ---------------------------------------------------

@@ -63,7 +63,7 @@ class TestAdaptiveStatsErrors:
         snapshot.write_text(
             json.dumps(
                 {
-                    "schema": "repro.obs/1",
+                    "schema": "repro.obs/v1",
                     "metrics": {"counters": [], "gauges": [], "histograms": []},
                     "spans": [],
                 }

@@ -5,12 +5,10 @@ import pytest
 from repro.kernels.params import config_space
 from repro.loadgen import (
     LoadgenConfig,
-    QuantileSummary,
     RateProfile,
-    merged_quantiles,
     run_load,
 )
-from repro.obs import MetricsRegistry
+from repro.obs import HistogramSummary, MetricsRegistry, merged_summary
 from repro.serving import SelectionService
 from repro.serving.router import FleetRouter
 
@@ -227,19 +225,19 @@ class TestMergedQuantiles:
             a.observe(1e-6)
         for _ in range(10):
             b.observe(1e-3)
-        merged = merged_quantiles(registry, "x.seconds")
-        assert isinstance(merged, QuantileSummary)
+        merged = merged_summary(registry, "x.seconds")
+        assert isinstance(merged, HistogramSummary)
         assert merged.count == 100
         assert merged.p50_s < 1e-4 < merged.p999_s
 
     def test_none_when_no_observations(self):
         registry = MetricsRegistry()
         registry.histogram("x.seconds")
-        assert merged_quantiles(registry, "x.seconds") is None
+        assert merged_summary(registry, "x.seconds") is None
 
     def test_mismatched_bounds_raise(self):
         registry = MetricsRegistry()
         registry.histogram("x.seconds", {"i": "0"}, bounds=(1.0,)).observe(0.5)
         registry.histogram("x.seconds", {"i": "1"}, bounds=(2.0,)).observe(0.5)
         with pytest.raises(ValueError, match="bounds"):
-            merged_quantiles(registry, "x.seconds")
+            merged_summary(registry, "x.seconds")

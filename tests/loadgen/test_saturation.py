@@ -9,7 +9,6 @@ import pytest
 from repro.loadgen import (
     LoadReport,
     LoadgenConfig,
-    QuantileSummary,
     RateProfile,
     WorkerLoad,
     git_revision,
@@ -17,13 +16,19 @@ from repro.loadgen import (
     run_load,
 )
 from repro.loadgen.report import REPORT_SCHEMA
-from repro.obs import MetricsRegistry
+from repro.obs import HistogramSummary, MetricsRegistry
 from repro.serving.router import RoutedDecision
 
 
 def _summary(n=10):
-    return QuantileSummary(
-        count=n, mean_s=1e-4, p50_s=1e-4, p99_s=2e-4, p999_s=3e-4
+    return HistogramSummary(
+        count=n,
+        mean_s=1e-4,
+        p50_s=1e-4,
+        p95_s=1.5e-4,
+        p99_s=2e-4,
+        p999_s=3e-4,
+        max_s=4e-4,
     )
 
 

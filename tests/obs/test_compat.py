@@ -91,8 +91,8 @@ class TestServiceStatsCompat:
         assert stats.capacity == 8
         assert stats.hit_rate == pytest.approx(7 / 13)
         assert stats.latency.count == 3
-        assert stats.latency.mean > 0.0
-        assert stats.latency.p50 <= stats.latency.p95 <= stats.latency.maximum
+        assert stats.latency.mean_s > 0.0
+        assert stats.latency.p50_s <= stats.latency.p95_s <= stats.latency.max_s
 
     def test_render_still_produces_the_report(self):
         service = SelectionService(StubPolicy())

@@ -1,5 +1,6 @@
 """Metrics primitives and registry: semantics, boundaries, thread safety."""
 
+import json
 import threading
 
 import pytest
@@ -9,10 +10,13 @@ from repro.obs import (
     Counter,
     Gauge,
     Histogram,
+    HistogramSummary,
     MetricsRegistry,
     NullRegistry,
     NULL_REGISTRY,
+    format_seconds,
     histogram_quantile,
+    merged_summary,
 )
 
 
@@ -126,6 +130,76 @@ class TestHistogramBuckets:
         counts = (0, 10, 0, 0)  # everything in (1, 2]
         q = histogram_quantile(bounds, counts, 0.5, minimum=1.2, maximum=1.8)
         assert 1.2 <= q <= 1.8
+
+
+class TestHistogramSummary:
+    # Sub-microsecond to overflow (> 10 s, past the last default bound).
+    VALUES = (3e-7, 2e-6, 2e-6, 2e-6, 4.5e-5, 1e-3, 1e-3, 0.2, 50.0)
+
+    def _mixed(self):
+        h = Histogram()
+        for value in self.VALUES:
+            h.observe(value)
+        assert h.bucket_counts()[-1] == 1  # the overflow bucket is used
+        return h
+
+    def test_summary_is_the_summary_of_its_json_snapshot(self):
+        h = self._mixed()
+        doc = json.loads(json.dumps(h.snapshot()))
+        assert h.summary() == HistogramSummary.from_snapshot(doc)
+
+    def test_fields_equal_the_histogram_readouts_exactly(self):
+        h = self._mixed()
+        s = h.summary()
+        assert s.count == h.count == len(self.VALUES)
+        assert s.mean_s == h.mean
+        assert s.max_s == h.maximum == 50.0
+        assert s.p50_s == h.quantile(0.5)
+        assert s.p95_s == h.quantile(0.95)
+        assert s.p99_s == h.quantile(0.99)
+        assert s.p999_s == h.quantile(0.999)
+
+    def test_merged_summary_equals_one_histogram_that_saw_everything(self):
+        a_values = [1.7e-6] * 40 + [3e-5] * 10 + [50.0]
+        b_values = [1.6e-6] + [1.7e-6] * 19 + [2e-3] * 9 + [0.4]
+        reg = MetricsRegistry()
+        whole = Histogram()
+        for label, values in (("a", a_values), ("b", b_values)):
+            for value in values:
+                reg.histogram("lat", {"device": label}).observe(value)
+                whole.observe(value)
+        merged = merged_summary(reg, "lat")
+        expected = whole.summary()
+        assert merged is not None
+        assert merged.count == expected.count == 81
+        assert merged.max_s == expected.max_s == 50.0
+        # Most mass sits at the bottom of one bucket, so interpolation
+        # undershoots and p50 is clamped to the observed minimum: the
+        # merged minimum (1.6e-6, from "b" only) is exact too.
+        assert merged.p50_s == expected.p50_s == 1.6e-6
+        assert merged.p95_s == expected.p95_s
+        assert merged.p99_s == expected.p99_s
+        assert merged.p999_s == expected.p999_s
+        assert merged.mean_s == pytest.approx(expected.mean_s)
+
+    def test_empty_summary_is_zero_and_renders_as_such(self):
+        s = Histogram().summary()
+        assert s == HistogramSummary(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        assert s.render() == "(no observations)"
+
+    def test_render_and_to_dict_carry_every_field(self):
+        s = self._mixed().summary()
+        assert set(s.to_dict()) == {
+            "count", "mean_s", "p50_s", "p95_s", "p99_s", "p999_s", "max_s"
+        }
+        for label in ("count", "mean", "p50", "p95", "p99", "p999", "max"):
+            assert f"{label} " in s.render()
+
+    def test_format_seconds_picks_the_unit(self):
+        assert format_seconds(3e-7) == "300 ns"
+        assert format_seconds(4.5e-5) == "45.0 us"
+        assert format_seconds(2e-3) == "2.00 ms"
+        assert format_seconds(50.0) == "50.000 s"
 
 
 class TestRegistry:

@@ -74,6 +74,46 @@ class TestObsCommand:
         assert capsys.readouterr().out.strip()
 
 
+class TestBadSnapshots:
+    """Every snapshot-reading command fails with one clean ERROR line."""
+
+    @pytest.fixture
+    def bad_path(self, request, tmp_path):
+        path = tmp_path / "snap.json"
+        if request.param == "not-json":
+            path.write_text("{not json")
+        elif request.param == "wrong-schema":
+            # Carries metrics every command would match, so only the
+            # schema check can reject it.
+            metrics = {
+                "counters": [
+                    {"name": name, "labels": {}, "value": 1}
+                    for name in ("shard.requests", "adaptive.trials")
+                ],
+                "gauges": [],
+                "histograms": [],
+            }
+            path.write_text(
+                json.dumps({"schema": "other/v9", "metrics": metrics})
+            )
+        return path
+
+    @pytest.mark.parametrize(
+        "bad_path", ["missing", "not-json", "wrong-schema"], indirect=True
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["obs", "dump"], ["shard", "stats"], ["adaptive", "stats"]],
+        ids=["obs", "shard", "adaptive"],
+    )
+    def test_exits_1_with_an_error_line(self, command, bad_path, capsys):
+        assert main(command + ["--snapshot", str(bad_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("ERROR: ")
+        assert str(bad_path) in captured.err
+
+
 class TestObsExportFlags:
     def test_fleet_route_and_serve_stats_accept_obs_flags(self):
         parser = build_parser()

@@ -1,9 +1,8 @@
-"""histogram_quantile / merged_quantiles edge cases (satellite coverage)."""
+"""histogram_quantile / merged_summary edge cases (satellite coverage)."""
 
 import pytest
 
-from repro.obs import Histogram, MetricsRegistry, histogram_quantile
-from repro.loadgen.report import merged_quantiles
+from repro.obs import Histogram, MetricsRegistry, histogram_quantile, merged_summary
 
 
 class TestHistogramQuantileEdges:
@@ -50,19 +49,19 @@ class TestHistogramQuantileEdges:
 
 class TestMergedQuantilesEdges:
     def test_empty_registry_returns_none(self):
-        assert merged_quantiles(MetricsRegistry(), "serving.lookup_seconds") is None
+        assert merged_summary(MetricsRegistry(), "serving.lookup_seconds") is None
 
     def test_registered_but_unobserved_histograms_return_none(self):
         reg = MetricsRegistry()
         reg.histogram("lat", {"w": "0"})
-        assert merged_quantiles(reg, "lat") is None
+        assert merged_summary(reg, "lat") is None
 
     def test_disjoint_label_sets_merge_bucket_counts(self):
         reg = MetricsRegistry()
         reg.histogram("lat", {"worker": "0"}, bounds=(1.0, 10.0)).observe(0.5)
         reg.histogram("lat", {"worker": "1"}, bounds=(1.0, 10.0)).observe(8.0)
         reg.histogram("lat", {"worker": "1"}, bounds=(1.0, 10.0)).observe(8.0)
-        summary = merged_quantiles(reg, "lat")
+        summary = merged_summary(reg, "lat")
         assert summary is not None
         assert summary.count == 3
         assert summary.mean_s == pytest.approx((0.5 + 8.0 + 8.0) / 3)
@@ -74,10 +73,10 @@ class TestMergedQuantilesEdges:
         reg.histogram("lat", {"w": "0"}, bounds=(1.0,)).observe(0.5)
         reg.histogram("lat", {"w": "1"}, bounds=(2.0,)).observe(0.5)
         with pytest.raises(ValueError, match="mismatched"):
-            merged_quantiles(reg, "lat")
+            merged_summary(reg, "lat")
 
     def test_other_metric_names_are_ignored(self):
         reg = MetricsRegistry()
         reg.histogram("other").observe(1.0)
         reg.counter("lat").inc()  # same name, wrong kind: skipped
-        assert merged_quantiles(reg, "lat") is None
+        assert merged_summary(reg, "lat") is None

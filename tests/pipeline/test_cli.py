@@ -1,8 +1,10 @@
 """The `repro pipeline` and artifact-backed `repro serve-stats` commands."""
 
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 NETWORK_ARGS = ["--networks", "mobilenet_v2"]
 
@@ -108,3 +110,31 @@ class TestServeStatsFromStore:
         )
         assert code == 1
         assert "no trained selector artifact" in capsys.readouterr().err
+
+
+class TestSharedStoreFlags:
+    """pipeline, fleet and onboard share one set of store/selector flags."""
+
+    SHARED = {
+        "store": Path(".repro-store"),
+        "networks": None,
+        "split_seed": 0,
+        "test_size": 0.2,
+        "pruner": "decision tree",
+        "budget": 8,
+        "classifier": "DecisionTree",
+        "seed": 0,
+        "workers": 1,
+        "force": False,
+        "assert_all_cached": False,
+    }
+
+    def test_defaults_are_pinned_and_equal(self):
+        parser = build_parser()
+        for argv in (
+            ["pipeline", "run"],
+            ["fleet", "build"],
+            ["onboard", "run", "--target", "r9-nano"],
+        ):
+            args = vars(parser.parse_args(argv))
+            assert {k: args[k] for k in self.SHARED} == self.SHARED, argv

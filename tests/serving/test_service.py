@@ -58,7 +58,7 @@ class TestSingleQuery:
         assert stats.single_calls == 4
         assert stats.hit_rate == pytest.approx(0.75)
         assert stats.latency.count == 4
-        assert stats.latency.mean > 0.0
+        assert stats.latency.mean_s > 0.0
 
 
 class TestBatchQuery:

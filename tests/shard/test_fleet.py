@@ -119,7 +119,7 @@ class TestObsAggregation:
         assert "workers alive" in stats.render()
 
     def test_fleet_wide_quantiles_cover_every_worker(self, fleet, shape_pool):
-        from repro.loadgen.report import merged_quantiles
+        from repro.obs import merged_summary
 
         fleet.select_batch(shape_pool)
         fleet.pull_metrics()
@@ -129,7 +129,7 @@ class TestObsAggregation:
             if name == "serving.lookup_seconds" and metric.count
         ]
         assert len(per_worker) == 2  # both workers contributed
-        merged = merged_quantiles(fleet.registry, "serving.lookup_seconds")
+        merged = merged_summary(fleet.registry, "serving.lookup_seconds")
         assert merged.count == sum(per_worker)
 
 
